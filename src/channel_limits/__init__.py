@@ -19,7 +19,6 @@ from .channels import (
 )
 from .config import ExperimentConfig, load_config, parse_config_text
 from .ensembles import (
-    SeededRng,
     StinespringRegime,
     haar_isometry,
     haar_unitary,
@@ -38,33 +37,22 @@ from .experiments import (
     run_experiment,
 )
 from .geometry import (
-    MembershipVerdict,
     NormAscent,
     SpectrumProbe,
-    estimate_norm_one_inf,
     estimate_smin,
     holevo_from_smin,
-    holevo_lower_bound,
-    membership,
-    membership_directions,
     norm_ascent,
-    orthogonal_schmidt_vector,
     probe_top_eigenvalues,
-    sample_outputs,
-    unit_sphere_sequence,
     weyl_operator,
     weyl_twirl,
 )
 from .linalg import (
     DensityMatrix,
     EigenSystem,
-    SchmidtDecomposition,
     hermitian_eigenvalues,
     hermitian_eigs,
-    partial_trace_left,
+    hermitize,
     partial_trace_right,
-    renyi_entropy,
-    schmidt,
     von_neumann_entropy,
 )
 from .oracles import (

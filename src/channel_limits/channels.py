@@ -32,6 +32,8 @@ from .errors import (
 from .linalg import (
     DensityMatrix,
     as_complex_matrix,
+    hermiticity_defect,
+    hermitize,
     partial_trace_right,
     state_matrix,
 )
@@ -49,7 +51,7 @@ def validate_weights(weights) -> np.ndarray:
     if np.any(w <= 0.0):
         raise BadWeightsError("weights must be strictly positive")
     if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
-        raise BadWeightsError(f"weights sum to {w.sum()!r}, not 1")
+        raise BadWeightsError(f"weights sum to {float(w.sum())!r}, not 1")
     return w
 
 
@@ -70,9 +72,9 @@ def validate_povm(povm, tol: float = POVM_TOL) -> np.ndarray:
     for m in ms:
         if m.shape[0] != n:
             raise DimensionMismatchError("POVM elements must share a dimension")
-        if float(np.max(np.abs(m - m.conj().T))) > tol:
+        if hermiticity_defect(m) > tol:
             raise InvalidPOVMError("POVM element is not Hermitian")
-        if float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]) < -tol:
+        if float(np.linalg.eigvalsh(hermitize(m))[0]) < -tol:
             raise InvalidPOVMError("POVM element is not positive semidefinite")
         total += m
     if float(np.max(np.abs(total - np.eye(n)))) > tol:
@@ -114,8 +116,7 @@ class Channel:
             raise DimensionMismatchError(
                 f"observable dim {y.shape[0]} != channel output dim {self.output_dim}"
             )
-        out = self.adjoint_matrix(y)
-        return (out + out.conj().T) / 2.0
+        return hermitize(self.adjoint_matrix(y))
 
     def apply_pure(self, vector: np.ndarray) -> np.ndarray:
         """Output matrix for a pure input, without forming the input projector."""
@@ -125,8 +126,7 @@ class Channel:
     def adjoint_rank_one(self, vector: np.ndarray) -> np.ndarray:
         """Adjoint lift of the rank-one observable built on `vector`."""
         v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        out = self.adjoint_matrix(np.outer(v, v.conj()))
-        return (out + out.conj().T) / 2.0
+        return hermitize(self.adjoint_matrix(np.outer(v, v.conj())))
 
     def complementary(self) -> "StinespringChannel":
         raise RepresentationUnavailableError(
@@ -191,8 +191,7 @@ class StinespringChannel(Channel):
         a = np.asarray(vector, dtype=np.complex128).reshape(-1)
         v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
         b = np.tensordot(a.conj(), v, axes=(0, 0))
-        out = b.conj().T @ b
-        return (out + out.conj().T) / 2.0
+        return hermitize(b.conj().T @ b)
 
     def complementary(self) -> "StinespringChannel":
         """Swap which dilation factor is traced out."""
@@ -254,8 +253,7 @@ class MixedUnitaryChannel(Channel):
         # the lift of aa* factors as C*C with C the conj(a)-weighted block sum
         a = np.asarray(vector, dtype=np.complex128).reshape(-1)
         c = np.tensordot(a.conj(), self._scaled, axes=(0, 0))
-        out = c.conj().T @ c
-        return (out + out.conj().T) / 2.0
+        return hermitize(c.conj().T @ c)
 
     def stinespring(self) -> StinespringChannel:
         """Dilation with isometry blocks sqrt(w_i) U_i, environment C^n."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .channels import validate_weights
+from .errors import BadWeightsError, ConfigError
 
 EXPERIMENTS = (
     "cm-convergence",
@@ -50,6 +51,8 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def channel_kind(self) -> str:
+        if self.experiment == "stinespring-peak":
+            return "stinespring"
         if self.channel is not None:
             return self.channel
         if self.weights is not None:
@@ -188,11 +191,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"probeMatrix: dimension {len(cfg.probe_matrix)} != k = {cfg.k}"
         )
     if cfg.weights is not None:
-        w = np.asarray(cfg.weights, dtype=float)
-        if w.size != cfg.k:
-            raise ConfigError(f"weights: expected {cfg.k} entries, got {w.size}")
-        if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ConfigError("weights: must be strictly positive and sum to 1")
+        if len(cfg.weights) != cfg.k:
+            raise ConfigError(f"weights: expected {cfg.k} entries, got {len(cfg.weights)}")
+        try:
+            validate_weights(cfg.weights)
+        except BadWeightsError as exc:
+            raise ConfigError(f"weights: {exc}") from None
     if cfg.t is not None and not (0.0 < cfg.t <= 1.0):
         raise ConfigError(f"t: {cfg.t} outside (0, 1]")
     if cfg.channel is not None and cfg.channel not in CHANNEL_KINDS:

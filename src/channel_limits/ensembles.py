@@ -26,32 +26,25 @@ def stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class SeededRng:
-    """Named (master_seed, stream_index) pair; `generator()` builds the stream."""
-
-    master_seed: int
-    stream_index: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return stream(self.master_seed, self.stream_index)
-
-
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
     return (re + 1j * im) / np.sqrt(2.0)
 
 
+def _haar_columns(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """QR of a rows x cols Ginibre matrix, with R's diagonal phases moved into Q."""
+    z = _ginibre(rows, cols, rng)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
     if dim <= 0:
         raise DimensionMismatchError("dimension must be positive")
-    z = _ginibre(dim, dim, rng)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))
-    return q
+    return _haar_columns(dim, dim, rng)
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -60,11 +53,7 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
         raise DimensionMismatchError(f"isometry needs cols <= rows, got {cols} > {rows}")
     if cols <= 0 or rows <= 0:
         raise DimensionMismatchError("dimensions must be positive")
-    z = _ginibre(rows, cols, rng)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))
-    return q
+    return _haar_columns(rows, cols, rng)
 
 
 def sample_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -103,7 +92,7 @@ def sample_stinespring_channel(
 
 @dataclass(frozen=True)
 class StinespringRegime:
-    """Growth regime for random isometries: input dimension N(n) = max(1, round(t n k))."""
+    """Growth regime for random isometries: input dimension N(n) = t n k, rounded, at least 1."""
 
     k: int
     t: float
@@ -122,20 +111,9 @@ def sample_projective_povm(
     """Orthogonal projectors with prescribed ranks, conjugated by a Haar unitary.
 
     Every element has operator norm exactly 1 and a 1-eigenspace of the
-    requested dimension.
+    requested dimension: the unit-norm sampler with no slack block.
     """
-    dims = [int(d) for d in block_dims]
-    if any(d <= 0 for d in dims):
-        raise DimensionMismatchError("block dimensions must be positive")
-    n = sum(dims)
-    u = haar_unitary(n, rng)
-    povm = []
-    start = 0
-    for d in dims:
-        cols = u[:, start : start + d]
-        povm.append(cols @ cols.conj().T)
-        start += d
-    return povm
+    return sample_unit_norm_povm(block_dims, 0, rng)
 
 
 def sample_unit_norm_povm(

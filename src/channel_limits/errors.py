@@ -31,10 +31,6 @@ class NotUnitVectorError(ChannelLimitsError, ValueError):
     """Vector is not normalized to unit Euclidean length."""
 
 
-class InvalidOrderError(ChannelLimitsError, ValueError):
-    """Entropy order parameter outside the supported range."""
-
-
 class ZeroVectorError(ChannelLimitsError, ValueError):
     """All-zero coefficient vector where a nonzero one is required."""
 
@@ -73,14 +69,6 @@ class RepresentationUnavailableError(ChannelLimitsError, ValueError):
 
 class EmptySampleError(ChannelLimitsError, ValueError):
     """Statistic of an empty collection requested."""
-
-
-class BadEnsembleError(ChannelLimitsError, ValueError):
-    """State ensemble with invalid probabilities or dimensions."""
-
-
-class DimensionObstructionError(ChannelLimitsError, ValueError):
-    """Subspace dimensions leave no room for the requested construction."""
 
 
 class HypothesisViolatedError(ChannelLimitsError, ValueError):

@@ -20,6 +20,7 @@ import numpy as np
 from .channels import Channel, EBChannel, make_depolarizing
 from .config import ExperimentConfig
 from .ensembles import (
+    StinespringRegime,
     sample_density_matrix,
     sample_mixed_unitary_channel,
     sample_projective_povm,
@@ -30,6 +31,7 @@ from .ensembles import (
 from .errors import ConfigError, EmptyResultsError
 from .geometry import (
     estimate_smin,
+    holevo_from_smin,
     norm_ascent,
     probe_top_eigenvalues,
     weyl_operator,
@@ -66,8 +68,7 @@ def _build_channel(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> C
     if kind == "mixed-unitary":
         return sample_mixed_unitary_channel(cfg.k, n, cfg.weights, rng)
     if kind == "stinespring":
-        input_dim = max(1, int(round(cfg.t * n * cfg.k)))
-        return sample_stinespring_channel(cfg.k, n, input_dim, rng)
+        return StinespringRegime(cfg.k, cfg.t).sample(n, rng)
     return make_depolarizing(cfg.k, n)
 
 
@@ -138,15 +139,6 @@ def _run_norm_limit(cfg, trial, n):
     return _record(cfg, trial, n, "ascent", (estimate,), target)
 
 
-def _run_stinespring_peak(cfg, trial, n):
-    rng = stream(cfg.master_seed, trial)
-    input_dim = max(1, int(round(cfg.t * n * cfg.k)))
-    channel = sample_stinespring_channel(cfg.k, n, input_dim, rng)
-    target = stinespring_peak_eigenvalue(cfg.k, cfg.t)
-    estimate = norm_ascent(channel, rng, cfg.restarts, cfg.iter_cap).value
-    return _record(cfg, trial, n, "ascent", (estimate,), target)
-
-
 def _run_weyl_invariance(cfg, trial, n):
     rng = stream(cfg.master_seed, trial)
     channel = _build_channel(cfg, n, rng)
@@ -184,7 +176,7 @@ def _run_output_cloud(cfg, trial, n):
         v = sample_pure_state(channel.input_dim, rng)
         cloud.append(channel.apply(DensityMatrix.pure(v)))
     smin = estimate_smin(cloud)
-    holevo = float(np.log(cfg.k)) - smin
+    holevo = holevo_from_smin(cfg.k, smin)
     kind = cfg.channel_kind()
     target = None
     if kind == "stinespring":
@@ -202,7 +194,7 @@ def _run_output_cloud(cfg, trial, n):
 _TRIAL_RUNNERS = {
     "cm-convergence": _run_cm_convergence,
     "norm-limit": _run_norm_limit,
-    "stinespring-peak": _run_stinespring_peak,
+    "stinespring-peak": _run_norm_limit,
     "weyl-invariance": _run_weyl_invariance,
     "eb-tensor": _run_eb_tensor,
     "output-cloud": _run_output_cloud,

@@ -1,10 +1,9 @@
 """Probing the geometry of channel output sets.
 
 Tools to compare finite-dimensional samples against their limiting
-descriptions: top-eigenvalue probes of the adjoint action, membership
-checks for the limit body {B : Tr[BA] <= f(A) for all states A},
-alternating ascent for the 1 -> infinity norm, Weyl conjugations, and
-entropy statistics of output clouds.
+descriptions: top-eigenvalue probes of the adjoint action, alternating
+ascent for the 1 -> infinity norm, Weyl conjugations, and entropy
+statistics of output clouds.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ import numpy as np
 
 from .channels import Channel
 from .errors import (
-    BadEnsembleError,
-    DimensionMismatchError,
-    DimensionObstructionError,
     EmptySampleError,
     OutOfRangeError,
 )
@@ -69,138 +65,6 @@ def probe_top_eigenvalues(
     return SpectrumProbe(vals, float(vals[0] - vals[-1]), target)
 
 
-def sample_outputs(
-    channel: Channel, count: int, rng: np.random.Generator
-) -> list[DensityMatrix]:
-    """Channel outputs of `count` independent uniform pure inputs."""
-    if count < 1:
-        raise OutOfRangeError("count must be at least 1")
-    outs = []
-    for _ in range(count):
-        v = sample_pure_state(channel.input_dim, rng)
-        outs.append(channel.apply(DensityMatrix.pure(v)))
-    return outs
-
-
-def unit_sphere_sequence(dim: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy sequence on the complex unit sphere.
-
-    A Kronecker sequence in [0,1)^{2 dim} pushed through the inverse
-    Gaussian map; no randomness involved, so direction grids are
-    reproducible byte for byte.
-    """
-    if dim < 1 or count < 1:
-        raise OutOfRangeError("dim and count must be positive")
-    d = 2 * dim
-    # generalized golden ratio: unique positive root of x^(d+1) = x + 1
-    phi = 2.0
-    for _ in range(64):
-        phi = (1.0 + phi) ** (1.0 / (d + 1))
-    alpha = phi ** -(1.0 + np.arange(d))
-    m = np.arange(1, count + 1)[:, None]
-    u = np.mod(0.5 + m * alpha, 1.0)
-    radii = np.sqrt(-2.0 * np.log1p(-u[:, :dim] * (1.0 - 1e-12)))
-    angles = 2.0 * np.pi * u[:, dim:]
-    z = radii * np.exp(1j * angles)
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class MembershipVerdict:
-    """Outcome of testing a candidate against the limit body."""
-
-    inside: bool
-    worst_margin: float
-    violations: tuple[tuple[int, float], ...]
-
-
-def membership(
-    candidate, limit_value, directions, tol: float = 1e-9
-) -> MembershipVerdict:
-    """Check Tr[B A] <= f(A) + tol over a list of direction states A.
-
-    `limit_value` is the oracle f; violations report (direction index,
-    margin) for every direction whose margin Tr[BA] - f(A) exceeds tol.
-    """
-    b = state_matrix(candidate)
-    worst = -np.inf
-    violations = []
-    for i, direction in enumerate(directions):
-        a = state_matrix(direction)
-        margin = float(np.trace(b @ a).real) - float(limit_value(a))
-        worst = max(worst, margin)
-        if margin > tol:
-            violations.append((i, margin))
-    return MembershipVerdict(not violations, worst, tuple(violations))
-
-
-def _refine_direction(candidate, limit_value, start, iters: int, step0: float):
-    """Finite-difference ascent of a -> Tr[B aa*] - f(aa*) on the sphere."""
-    b = state_matrix(candidate)
-    k = b.shape[0]
-
-    def margin(vec: np.ndarray) -> float:
-        a = np.outer(vec, vec.conj())
-        return float(np.trace(b @ a).real) - float(limit_value(a))
-
-    vec = start / np.linalg.norm(start)
-    best = margin(vec)
-    step = step0
-    eps = 1e-6
-    for _ in range(iters):
-        grad = np.zeros(k, dtype=np.complex128)
-        for j in range(k):
-            for delta in (eps, 1j * eps):
-                probe = vec + delta * np.eye(k, dtype=np.complex128)[j]
-                probe /= np.linalg.norm(probe)
-                grad[j] += (margin(probe) - best) / eps * (delta / eps)
-        if np.linalg.norm(grad) == 0.0:
-            break
-        cand = vec + step * grad / np.linalg.norm(grad)
-        cand /= np.linalg.norm(cand)
-        val = margin(cand)
-        if val > best:
-            vec, best = cand, val
-            step = min(step * 1.3, 0.5)
-        else:
-            step *= 0.5
-            if step < 1e-8:
-                break
-    return vec
-
-
-def membership_directions(
-    candidate,
-    limit_value,
-    grid_count: int = 120,
-    refine_starts: int = 4,
-    refine_iters: int = 60,
-) -> list[np.ndarray]:
-    """Direction states for a membership check.
-
-    Combines a deterministic rank-one sphere grid, the candidate's own
-    direction B/Tr[B], and a few optimizer-refined worst directions.
-    """
-    b = state_matrix(candidate)
-    k = b.shape[0]
-    directions = [b / float(np.trace(b).real)]
-    grid = unit_sphere_sequence(k, grid_count)
-    for row in grid:
-        directions.append(np.outer(row, row.conj()))
-    scored = sorted(
-        range(len(directions)),
-        key=lambda i: float(np.trace(b @ directions[i]).real),
-        reverse=True,
-    )
-    for idx in scored[:refine_starts]:
-        d = directions[idx]
-        vals, vecs = np.linalg.eigh((d + d.conj().T) / 2.0)
-        start = vecs[:, -1]
-        refined = _refine_direction(candidate, limit_value, start, refine_iters, 0.2)
-        directions.append(np.outer(refined, refined.conj()))
-    return directions
-
-
 @dataclass(frozen=True)
 class NormAscent:
     """Result of the alternating 1 -> infinity norm ascent."""
@@ -234,36 +98,25 @@ def norm_ascent(
     outputs = []
     for _ in range(restarts):
         a = sample_pure_state(channel.output_dim, rng)
-        x = None
         traj = []
         prev = -np.inf
         for _ in range(iter_cap):
             lifted = channel.adjoint_rank_one(a)
             x = hermitian_eigs(lifted).eigenvectors[:, 0]
             out = channel.apply_pure(x)
-            vals, vecs = hermitian_eigs((out + out.conj().T) / 2.0)
+            vals, vecs = hermitian_eigs(out)
             a = vecs[:, 0]
             value = float(vals[0])
             traj.append(value)
             if value <= prev + tol:
                 break
             prev = value
-        outputs.append(DensityMatrix.normalized(channel.apply_pure(x)))
+        outputs.append(DensityMatrix.normalized(out))
         if traj[-1] > best_value:
             best_value = traj[-1]
             best_x = x
             best_traj = tuple(traj)
     return NormAscent(best_value, best_x, best_traj, tuple(outputs))
-
-
-def estimate_norm_one_inf(
-    channel: Channel,
-    rng: np.random.Generator,
-    restarts: int = 10,
-    iter_cap: int = 200,
-) -> float:
-    """Best lower estimate of the 1 -> infinity norm from alternating ascent."""
-    return norm_ascent(channel, rng, restarts, iter_cap).value
 
 
 def weyl_operator(shift: int, phase: int, dim: int) -> np.ndarray:
@@ -311,56 +164,3 @@ def holevo_from_smin(dim: int, smin: float) -> float:
     if smin < -1e-12 or smin > cap + 1e-9:
         raise OutOfRangeError(f"smin = {smin} outside [0, ln {dim}]")
     return cap - min(max(smin, 0.0), cap)
-
-
-def holevo_lower_bound(probabilities, states) -> float:
-    """Ensemble Holevo quantity S(sum p_i rho_i) - sum p_i S(rho_i)."""
-    p = np.asarray(probabilities, dtype=float).reshape(-1)
-    if p.size == 0 or p.size != len(states):
-        raise BadEnsembleError("need one probability per state")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
-        raise BadEnsembleError("probabilities must be non-negative and sum to 1")
-    mats = [state_matrix(s) for s in states]
-    dim = mats[0].shape[0]
-    if any(m.shape[0] != dim for m in mats):
-        raise BadEnsembleError("states must share a dimension")
-    avg = sum(pi * m for pi, m in zip(p, mats))
-    mixed = von_neumann_entropy(avg)
-    return mixed - float(sum(pi * von_neumann_entropy(m) for pi, m in zip(p, mats)))
-
-
-def orthogonal_schmidt_vector(
-    subspace_basis, left_dim: int, right_dim: int, avoid_basis=None
-) -> np.ndarray:
-    """Unit vector in a subspace of C^left (x) C^right whose right Schmidt
-    vectors are orthogonal to a given subspace of C^right.
-
-    Works by intersecting the subspace with the orthocomplement of
-    C^left (x) span(avoid); possible whenever the subspace dimension
-    exceeds left_dim * dim(avoid).
-    """
-    w = np.asarray(subspace_basis, dtype=np.complex128)
-    if w.ndim != 2 or w.shape[0] != left_dim * right_dim:
-        raise DimensionMismatchError(
-            f"basis shape {w.shape} incompatible with ({left_dim}, {right_dim})"
-        )
-    q, _ = np.linalg.qr(w)
-    d = q.shape[1]
-    if avoid_basis is None or np.asarray(avoid_basis).size == 0:
-        return q[:, 0]
-    t = np.asarray(avoid_basis, dtype=np.complex128)
-    if t.ndim == 1:
-        t = t[:, None]
-    if t.shape[0] != right_dim:
-        raise DimensionMismatchError("avoid basis must live on the right factor")
-    dt = t.shape[1]
-    if d <= left_dim * dt:
-        raise DimensionObstructionError(
-            f"subspace dim {d} must exceed left_dim * avoid_dim = {left_dim * dt}"
-        )
-    constraints = np.kron(np.eye(left_dim, dtype=np.complex128), t)
-    system = constraints.conj().T @ q
-    _, _, vh = np.linalg.svd(system)
-    coeff = vh[-1].conj()
-    x = q @ coeff
-    return x / np.linalg.norm(x)

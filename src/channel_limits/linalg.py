@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: spectra, partial traces, Schmidt data, entropies.
+"""Dense complex linear algebra: spectra, the partial trace, states, entropy.
 
 Conventions used everywhere in the package:
   * matrices are complex128 numpy arrays;
@@ -10,7 +10,6 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidDensityMatrixError,
-    InvalidOrderError,
     NoConvergenceError,
     NonHermitianError,
     NotUnitVectorError,
@@ -45,6 +43,20 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Hermitian part (m + m*) / 2; exactly Hermitian, and idempotent bit for bit."""
+    return (m + m.conj().T) / 2.0
+
+
+def _hermitian_part(m, tol: float = HERMITIAN_TOL, error=NonHermitianError) -> np.ndarray:
+    """Coerce to a square complex matrix, raise `error` beyond `tol`, hermitize."""
+    a = state_matrix(m)
+    defect = hermiticity_defect(a)
+    if defect > tol:
+        raise error(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    return hermitize(a)
+
+
 class EigenSystem(NamedTuple):
     """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
 
@@ -59,13 +71,9 @@ def hermitian_eigs(m, tol: float = HERMITIAN_TOL) -> EigenSystem:
     input is further than `tol` from Hermitian in max norm, and
     NoConvergenceError when the underlying solver gives up.
     """
-    a = as_complex_matrix(m)
-    if hermiticity_defect(a) > tol:
-        raise NonHermitianError(
-            f"matrix is not Hermitian (defect {hermiticity_defect(a):.3e} > {tol:.1e})"
-        )
+    h = _hermitian_part(m, tol)
     try:
-        vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+        vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergenceError(str(exc)) from exc
     return EigenSystem(vals[::-1].copy(), vecs[:, ::-1].copy())
@@ -73,11 +81,9 @@ def hermitian_eigs(m, tol: float = HERMITIAN_TOL) -> EigenSystem:
 
 def hermitian_eigenvalues(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Eigenvalues only, descending."""
-    a = as_complex_matrix(m)
-    if hermiticity_defect(a) > tol:
-        raise NonHermitianError("matrix is not Hermitian")
+    h = _hermitian_part(m, tol)
     try:
-        vals = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+        vals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NoConvergenceError(str(exc)) from exc
     return vals[::-1].copy()
@@ -100,43 +106,6 @@ def partial_trace_right(m, left_dim: int, right_dim: int) -> np.ndarray:
     return np.einsum("ajbj->ab", t)
 
 
-def partial_trace_left(m, left_dim: int, right_dim: int) -> np.ndarray:
-    """Trace out the left factor of an operator on C^left (x) C^right."""
-    a = as_complex_matrix(m)
-    _check_bipartite(a, left_dim, right_dim)
-    t = a.reshape(left_dim, right_dim, left_dim, right_dim)
-    return np.einsum("iaib->ab", t)
-
-
-class SchmidtDecomposition(NamedTuple):
-    """Schmidt data of a bipartite unit vector.
-
-    coefficients are non-negative and descending; left_vectors /
-    right_vectors hold the orthonormal Schmidt vectors as columns, so
-    x = sum_a coefficients[a] * kron(left[:, a], right[:, a]).
-    """
-
-    coefficients: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-
-def schmidt(x, left_dim: int, right_dim: int) -> SchmidtDecomposition:
-    """Schmidt decomposition of a unit vector on C^left (x) C^right."""
-    v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if v.shape[0] != left_dim * right_dim:
-        raise DimensionMismatchError(
-            f"vector length {v.shape[0]} != {left_dim}*{right_dim}"
-        )
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-12:
-        raise NotUnitVectorError(f"norm {nrm!r} differs from 1 beyond 1e-12")
-    mat = v.reshape(left_dim, right_dim)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    # rows of vh are already the right Schmidt vectors: x = sum s_a u_a (x) vh[a, :]
-    return SchmidtDecomposition(s.copy(), u.copy(), vh.T.copy())
-
-
 class DensityMatrix:
     """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
@@ -151,15 +120,11 @@ class DensityMatrix:
     def __init__(self, matrix, *, _validated: bool = False):
         a = as_complex_matrix(matrix)
         if not _validated:
-            defect = hermiticity_defect(a)
-            if defect > STATE_HERMITIAN_TOL:
-                raise InvalidDensityMatrixError(
-                    f"not Hermitian within 1e-12 (defect {defect:.3e})"
-                )
+            h = _hermitian_part(a, STATE_HERMITIAN_TOL, InvalidDensityMatrixError)
             tr = complex(np.trace(a))
             if abs(tr - 1.0) > TRACE_TOL:
                 raise InvalidDensityMatrixError(f"trace {tr!r} differs from 1 beyond 1e-12")
-            low = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
+            low = float(np.linalg.eigvalsh(h)[0])
             if low < EIGENVALUE_FLOOR:
                 raise InvalidDensityMatrixError(
                     f"minimum eigenvalue {low:.3e} below {EIGENVALUE_FLOOR:.1e}"
@@ -170,10 +135,7 @@ class DensityMatrix:
     @classmethod
     def normalized(cls, matrix) -> "DensityMatrix":
         """Build a state from near-valid input: hermitize, clip eigenvalue dust, rescale."""
-        a = as_complex_matrix(matrix)
-        if hermiticity_defect(a) > HERMITIAN_TOL:
-            raise InvalidDensityMatrixError("not Hermitian within 1e-10")
-        h = (a + a.conj().T) / 2.0
+        h = _hermitian_part(matrix, HERMITIAN_TOL, InvalidDensityMatrixError)
         vals, vecs = np.linalg.eigh(h)
         if vals[0] < EIGENVALUE_FLOOR:
             raise InvalidDensityMatrixError(
@@ -186,7 +148,7 @@ class DensityMatrix:
         vals /= total
         out = (vecs * vals) @ vecs.conj().T
         obj = cls.__new__(cls)
-        obj.matrix = (out + out.conj().T) / 2.0
+        obj.matrix = hermitize(out)
         obj.dim = out.shape[0]
         return obj
 
@@ -225,10 +187,7 @@ def state_matrix(state) -> np.ndarray:
 
 
 def _state_spectrum(state) -> np.ndarray:
-    a = state_matrix(state)
-    if hermiticity_defect(a) > HERMITIAN_TOL:
-        raise NonHermitianError("state is not Hermitian within 1e-10")
-    vals = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    vals = np.linalg.eigvalsh(_hermitian_part(state))
     if vals[0] < EIGENVALUE_FLOOR:
         raise InvalidDensityMatrixError(f"negative eigenvalue {vals[0]:.3e}")
     return np.clip(vals, 0.0, None)
@@ -239,20 +198,3 @@ def von_neumann_entropy(state) -> float:
     vals = _state_spectrum(state)
     pos = vals[vals > 0.0]
     return float(max(0.0, -np.sum(pos * np.log(pos))))
-
-
-def renyi_entropy(state, order: float) -> float:
-    """Renyi entropy of the given order (order >= 1; 1 means von Neumann).
-
-    order = math.inf returns -ln(lambda_max).
-    """
-    if not (order >= 1.0):
-        raise InvalidOrderError(f"order {order} must be >= 1")
-    if order == 1.0:
-        return von_neumann_entropy(state)
-    vals = _state_spectrum(state)
-    if math.isinf(order):
-        top = float(vals.max())
-        return float(-np.log(top)) if top > 0 else 0.0
-    s = float(np.sum(vals ** order))
-    return float(np.log(s) / (1.0 - order))

@@ -36,7 +36,7 @@ from .errors import (
     OutOfRangeError,
     ZeroVectorError,
 )
-from .linalg import state_matrix
+from .linalg import HERMITIAN_TOL, hermiticity_defect, state_matrix
 
 ENUMERATION_LIMIT = 20
 _BISECTION_STEPS = 90
@@ -210,7 +210,7 @@ def rank_one_limit(coefficients, weights) -> float:
 def eb_limit(observable, states) -> float:
     """Limit value max_i Tr[A sigma_i] for measure-and-prepare channels."""
     a = state_matrix(observable)
-    if float(np.max(np.abs(a - a.conj().T))) > 1e-10:
+    if hermiticity_defect(a) > HERMITIAN_TOL:
         raise NonHermitianError("observable must be Hermitian")
     if len(states) == 0:
         raise DimensionMismatchError("need at least one output state")

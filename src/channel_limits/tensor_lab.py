@@ -24,7 +24,7 @@ from .errors import (
     OutOfRangeError,
     SingularPError,
 )
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, hermitize
 
 NORM_ONE_TOL = 1e-10
 NEGLIGIBLE_WEIGHT = 1e-14
@@ -95,7 +95,7 @@ def eb_tensor_decompose(eb: EBChannel, psi: Channel, vector) -> EBTensorDecompos
     raises HypothesisViolatedError otherwise.
     """
     mat = _input_matrix(eb, psi, vector)
-    tops = [float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[-1]) for m in eb.povm]
+    tops = [float(np.linalg.eigvalsh(hermitize(m))[-1]) for m in eb.povm]
     for i, top in enumerate(tops):
         if top < 1.0 - NORM_ONE_TOL:
             raise HypothesisViolatedError(
@@ -145,7 +145,7 @@ def uniform_mixing_positivity_probe(povm, mixing: float) -> PositivityReport:
     centered = ms - np.eye(dim)[None, :, :] / count
     mins = np.array(
         [
-            float(np.linalg.eigvalsh((c.T + c.conj()) / 2.0)[0]) / mixing
+            float(np.linalg.eigvalsh(hermitize(c.T))[0]) / mixing
             for c in centered
         ]
     )

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from channel_limits import (
-    SeededRng,
     StinespringRegime,
     haar_isometry,
     haar_unitary,
@@ -34,13 +33,6 @@ def test_streams_are_distinct_across_indices():
     a = stream(123, 0).standard_normal(16)
     b = stream(123, 1).standard_normal(16)
     assert not np.allclose(a, b)
-
-
-def test_seeded_rng_wrapper():
-    r = SeededRng(master_seed=7, stream_index=3)
-    x = r.generator().standard_normal(5)
-    y = SeededRng(7, 3).generator().standard_normal(5)
-    assert np.array_equal(x, y)
 
 
 # ---------------------------------------------------------------------- haar

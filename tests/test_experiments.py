@@ -25,7 +25,20 @@ from channel_limits.experiments import (
     run_experiment,
 )
 
-GOLDEN = Path(__file__).parent / "golden" / "psistar_sweep.csv"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "psistar_sweep.csv"
+
+# tiny configs of the Monte-Carlo experiments; the CSVs next to them were
+# written by `channel-limits run` with --threads 1 and OPENBLAS_NUM_THREADS=1
+MONTE_CARLO_GOLDENS = (
+    "cm_convergence",
+    "norm_limit",
+    "stinespring_peak",
+    "weyl_invariance",
+    "eb_tensor",
+    "output_cloud",
+)
+ID_COLUMNS = 6
 
 SWEEP_TEXT = """
 # supremum sweep over the one-light weight family
@@ -194,6 +207,33 @@ def test_golden_file_schema_is_stable():
     assert render_csv(records) == GOLDEN.read_text()
 
 
+@pytest.mark.parametrize("stem", MONTE_CARLO_GOLDENS)
+def test_monte_carlo_runs_match_golden_files(stem):
+    # identifying columns exactly; floats within 1e-12 relative, the
+    # agreement promised across machines and BLAS thread settings
+    cfg = load_config(str(GOLDEN_DIR / f"{stem}.cfg"))
+    got = [line.split(",") for line in render_csv(run_experiment(cfg)).splitlines()]
+    golden_text = (GOLDEN_DIR / f"{stem}.csv").read_text()
+    want = [line.split(",") for line in golden_text.splitlines()]
+    assert len(got) == len(want)
+    assert got[0] == want[0]
+    for row, golden in zip(got[1:], want[1:]):
+        assert row[:ID_COLUMNS] == golden[:ID_COLUMNS]
+        for cell, expect in zip(row[ID_COLUMNS:], golden[ID_COLUMNS:]):
+            if expect == "":
+                assert cell == ""
+                continue
+            bound = 1e-12 * max(1.0, abs(float(expect)))
+            assert abs(float(cell) - float(expect)) <= bound, (row[1], cell, expect)
+
+
+def test_stinespring_peak_ignores_channel_and_weights():
+    text = (GOLDEN_DIR / "stinespring_peak.cfg").read_text()
+    plain = render_csv(run_experiment(parse_config_text(text)))
+    extra = text + "channel = depolarizing\nweights = 0.25, 0.75\n"
+    assert render_csv(run_experiment(parse_config_text(extra))) == plain
+
+
 # ----------------------------------------------------------------------- cli
 
 
@@ -240,6 +280,18 @@ def test_cli_config_error_is_exit_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "config error" in captured.err
+
+
+def test_cli_weights_off_by_rounding_are_exit_one(tmp_path, capsys):
+    # the sum 0.9999999999 misses 1 by more than the weight tolerance
+    text = (
+        "experiment = norm-limit\nk = 3\n"
+        "weights = 0.3333333333, 0.3333333333, 0.3333333333\nnGrid = 4\n"
+    )
+    code = cli_main(["run", _write(tmp_path, "w.cfg", text), "--out", "-"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "weights sum to 0.9999999999, not 1" in captured.err
 
 
 def test_cli_missing_output_is_exit_one(tmp_path):
