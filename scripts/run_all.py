@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--only", default=None)
     args = parser.parse_args()

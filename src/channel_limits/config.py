@@ -30,6 +30,14 @@ PROBES = ("flat-rank-one", "random-pure", "explicit")
 
 CHANNEL_KINDS = ("mixed-unitary", "stinespring", "depolarizing")
 
+# channel keys these experiments never read: a config that set one would
+# name a channel the run does not measure
+_UNUSED_CHANNEL_KEYS = {
+    "stinespring-peak": ("weights", "channel"),
+    "psistar-sweep": ("weights", "t", "channel"),
+    "eb-tensor": ("weights", "t", "channel"),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -51,8 +59,6 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def channel_kind(self) -> str:
-        if self.experiment == "stinespring-peak":
-            return "stinespring"
         if self.channel is not None:
             return self.channel
         if self.weights is not None:
@@ -178,6 +184,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"experiment: {cfg.experiment!r} not one of {', '.join(EXPERIMENTS)}"
         )
+    for key in _UNUSED_CHANNEL_KEYS.get(cfg.experiment, ()):
+        if getattr(cfg, key) is not None:
+            raise ConfigError(f"{key}: not used by {cfg.experiment}")
     if cfg.k < 1:
         raise ConfigError(f"k: must be positive, got {cfg.k}")
     if cfg.trials < 1:

@@ -20,8 +20,12 @@ Monte-Carlo experiments as exact targets.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, chain, combinations, repeat
+from math import comb
 
 import numpy as np
 
@@ -96,20 +100,133 @@ def free_unitary_sum_norm(coefficients) -> float:
 
 
 @dataclass(frozen=True)
+class _SubsetTable:
+    """Candidate data for the rows of an index array of equal-size subsets."""
+
+    weights: np.ndarray
+    subsets: np.ndarray
+    weight_sum: np.ndarray
+    harmonic_scale: np.ndarray
+    valid: np.ndarray
+    value: np.ndarray
+
+    def maximizer(self, row: int) -> np.ndarray | None:
+        """Unit coefficient vector attaining h(J) for a valid row, else None."""
+        if not self.valid[row]:
+            return None
+        idx = self.subsets[row]
+        a = np.zeros(self.weights.size)
+        if idx.size == 1:
+            a[idx[0]] = 1.0
+            return a
+        wj = self.weights[idx]
+        beta = float(self.weight_sum[row])
+        gamma = float(self.harmonic_scale[row])
+        excess = idx.size - 2
+        denom = beta - gamma * excess**2
+        a[idx] = np.sqrt(np.maximum(0.0, wj - (gamma * excess) ** 2 / wj) / denom)
+        return a
+
+
+def _evaluate_rows(w: np.ndarray, subsets: np.ndarray) -> _SubsetTable:
+    """beta, gamma, validity and h(J) for every row J of a (count, m) index array.
+
+    Each row of the contiguous (count, m) gather is reduced by the same
+    pairwise summation as a 1-D sum over that subset alone, so every row
+    is bit-identical to evaluating its subset on its own.
+    """
+    wj = w[subsets]
+    m = subsets.shape[1]
+    beta = wj.sum(axis=1)
+    gamma = 1.0 / np.sum(1.0 / wj, axis=1)
+    excess = m - 2
+    # subsets of size <= 3 satisfy min w_j >= gamma * |m - 2| identically
+    # (|m - 2| <= 1 and the harmonic scale never exceeds the smallest
+    # weight), so only larger subsets need the literal comparison, which
+    # would otherwise be fragile at the singleton equality case
+    if m <= 3:
+        valid = np.ones(len(subsets), dtype=bool)
+    else:
+        valid = wj.min(axis=1) >= gamma * abs(excess)
+    value = np.sqrt(np.maximum(0.0, beta - gamma * excess**2))
+    return _SubsetTable(w, subsets, beta, gamma, valid, value)
+
+
+def _combinations(k: int, m: int) -> np.ndarray:
+    """The rows of combinations(range(k), m), in its lexicographic order."""
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(k), m)),
+        dtype=np.intp,
+        count=comb(k, m) * m,
+    )
+    return flat.reshape(-1, m)
+
+
 class SubsetEvaluation:
-    """Candidate data for one coordinate subset.
+    """Candidate data for one coordinate subset, read from its table row.
 
     weight_sum is beta, harmonic_scale is gamma; value is h(J); maximizer
     is the unit coefficient vector attaining h(J) when the subset is
-    valid, None otherwise.
+    valid, None otherwise, computed on access.
     """
 
-    subset: tuple[int, ...]
-    weight_sum: float
-    harmonic_scale: float
-    valid: bool
-    value: float
-    maximizer: np.ndarray | None
+    __slots__ = ("_table", "_row")
+
+    def __init__(self, table: _SubsetTable, row: int):
+        self._table = table
+        self._row = row
+
+    @property
+    def subset(self) -> tuple[int, ...]:
+        return tuple(self._table.subsets[self._row].tolist())
+
+    @property
+    def weight_sum(self) -> float:
+        return float(self._table.weight_sum[self._row])
+
+    @property
+    def harmonic_scale(self) -> float:
+        return float(self._table.harmonic_scale[self._row])
+
+    @property
+    def valid(self) -> bool:
+        return bool(self._table.valid[self._row])
+
+    @property
+    def value(self) -> float:
+        return float(self._table.value[self._row])
+
+    @property
+    def maximizer(self) -> np.ndarray | None:
+        return self._table.maximizer(self._row)
+
+
+class _Evaluations(Sequence):
+    """Read-only sequence of the evaluated subsets: by size, then lexicographic.
+
+    Items are built on access from the stored tables, so the 2^k - 1 rows
+    of an enumeration cost arrays, not objects.
+    """
+
+    def __init__(self, tables: list[_SubsetTable]):
+        self._tables = tuple(tables)
+        self._ends = list(accumulate(len(t.subsets) for t in self._tables))
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, i: int) -> SubsetEvaluation:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"subset index {i} out of range")
+        t = bisect_right(self._ends, i)
+        return SubsetEvaluation(self._tables[t], i - (self._ends[t - 1] if t else 0))
+
+    def __iter__(self):
+        for table in self._tables:
+            yield from map(SubsetEvaluation, repeat(table), range(len(table.subsets)))
 
 
 def evaluate_subset(subset, weights) -> SubsetEvaluation:
@@ -122,27 +239,7 @@ def evaluate_subset(subset, weights) -> SubsetEvaluation:
         raise OutOfRangeError(f"subset {idx} has repeated indices")
     if idx[0] < 0 or idx[-1] >= w.size:
         raise OutOfRangeError(f"subset {idx} out of range for {w.size} weights")
-    wj = w[list(idx)]
-    m = len(idx)
-    beta = float(wj.sum())
-    gamma = float(1.0 / np.sum(1.0 / wj))
-    excess = m - 2
-    # subsets of size <= 3 satisfy min w_j >= gamma * |m - 2| identically
-    # (|m - 2| <= 1 and the harmonic scale never exceeds the smallest
-    # weight), so only larger subsets need the literal comparison, which
-    # would otherwise be fragile at the singleton equality case
-    valid = m <= 3 or bool(wj.min() >= gamma * abs(excess))
-    value = float(np.sqrt(max(0.0, beta - gamma * excess**2)))
-    maximizer = None
-    if valid:
-        a = np.zeros(w.size)
-        if m == 1:
-            a[idx[0]] = 1.0
-        else:
-            denom = beta - gamma * excess**2
-            a[list(idx)] = np.sqrt(np.maximum(0.0, wj - (gamma * excess) ** 2 / wj) / denom)
-        maximizer = a
-    return SubsetEvaluation(idx, beta, gamma, valid, value, maximizer)
+    return SubsetEvaluation(_evaluate_rows(w, np.array([idx], dtype=np.intp)), 0)
 
 
 @dataclass(frozen=True)
@@ -152,7 +249,7 @@ class SphereSupremum:
     value: float
     argmax_subset: tuple[int, ...]
     maximizer: np.ndarray
-    evaluations: tuple[SubsetEvaluation, ...]
+    evaluations: Sequence[SubsetEvaluation]
 
 
 def sphere_sup(weights) -> SphereSupremum:
@@ -160,7 +257,9 @@ def sphere_sup(weights) -> SphereSupremum:
 
     Enumerates the 2^k - 1 coordinate subsets (k <= 20) unless the full
     set is already valid, in which case monotonicity of h settles the
-    maximum immediately.  Ties pick the lexicographically smallest subset.
+    maximum immediately.  The enumeration is vectorized per subset size:
+    one array evaluation covers all subsets of that size.  Ties pick the
+    lexicographically smallest subset.
     """
     w = validate_weights(weights)
     k = w.size
@@ -170,24 +269,28 @@ def sphere_sup(weights) -> SphereSupremum:
         raise CapacityExceededError(
             f"subset enumeration supported up to k = {ENUMERATION_LIMIT}, got {k}"
         )
-    full = evaluate_subset(range(k), w)
-    if full.valid:
-        return SphereSupremum(full.value, full.subset, full.maximizer, (full,))
-    evaluations = []
+    full = _evaluate_rows(w, np.arange(k)[None, :])
+    if full.valid[0]:
+        return SphereSupremum(
+            float(full.value[0]), tuple(range(k)), full.maximizer(0), _Evaluations([full])
+        )
+    tables = [_evaluate_rows(w, _combinations(k, m)) for m in range(1, k + 1)]
     best = None
-    for size in range(1, k + 1):
-        for combo in combinations(range(k), size):
-            ev = evaluate_subset(combo, w)
-            evaluations.append(ev)
-            if not ev.valid:
-                continue
-            if (
-                best is None
-                or ev.value > best.value
-                or (ev.value == best.value and ev.subset < best.subset)
-            ):
-                best = ev
-    return SphereSupremum(best.value, best.subset, best.maximizer, tuple(evaluations))
+    for table in tables:
+        # the first maximum of a size is its lexicographically smallest
+        row = int(np.argmax(np.where(table.valid, table.value, -1.0)))
+        if not table.valid[row]:
+            continue
+        value = float(table.value[row])
+        subset = tuple(table.subsets[row].tolist())
+        if (
+            best is None
+            or value > best[0]
+            or (value == best[0] and subset < best[1])
+        ):
+            best = (value, subset, table, row)
+    value, subset, table, row = best
+    return SphereSupremum(value, subset, table.maximizer(row), _Evaluations(tables))
 
 
 def mixed_unitary_norm_limit(weights) -> float:

@@ -25,6 +25,7 @@ from channel_limits.experiments import (
     run_experiment,
 )
 
+REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "psistar_sweep.csv"
 
@@ -207,13 +208,10 @@ def test_golden_file_schema_is_stable():
     assert render_csv(records) == GOLDEN.read_text()
 
 
-@pytest.mark.parametrize("stem", MONTE_CARLO_GOLDENS)
-def test_monte_carlo_runs_match_golden_files(stem):
+def _assert_csv_within_golden_tolerance(got_text, golden_text):
     # identifying columns exactly; floats within 1e-12 relative, the
     # agreement promised across machines and BLAS thread settings
-    cfg = load_config(str(GOLDEN_DIR / f"{stem}.cfg"))
-    got = [line.split(",") for line in render_csv(run_experiment(cfg)).splitlines()]
-    golden_text = (GOLDEN_DIR / f"{stem}.csv").read_text()
+    got = [line.split(",") for line in got_text.splitlines()]
     want = [line.split(",") for line in golden_text.splitlines()]
     assert len(got) == len(want)
     assert got[0] == want[0]
@@ -227,11 +225,25 @@ def test_monte_carlo_runs_match_golden_files(stem):
             assert abs(float(cell) - float(expect)) <= bound, (row[1], cell, expect)
 
 
-def test_stinespring_peak_ignores_channel_and_weights():
-    text = (GOLDEN_DIR / "stinespring_peak.cfg").read_text()
-    plain = render_csv(run_experiment(parse_config_text(text)))
-    extra = text + "channel = depolarizing\nweights = 0.25, 0.75\n"
-    assert render_csv(run_experiment(parse_config_text(extra))) == plain
+@pytest.mark.parametrize("stem", MONTE_CARLO_GOLDENS)
+def test_monte_carlo_runs_match_golden_files(stem):
+    cfg = load_config(str(GOLDEN_DIR / f"{stem}.cfg"))
+    _assert_csv_within_golden_tolerance(
+        render_csv(run_experiment(cfg)), (GOLDEN_DIR / f"{stem}.csv").read_text()
+    )
+
+
+def test_fast_configs_reproduce_committed_results():
+    # the two configs that run in well under a second; the closed-form sweep
+    # is exact, the Monte-Carlo run is held to the golden tolerance
+    def regenerate(stem):
+        return render_csv(run_experiment(load_config(str(REPO / "configs" / f"{stem}.cfg"))))
+
+    committed = REPO / "results"
+    assert regenerate("psistar_sweep") == (committed / "psistar_sweep.csv").read_text()
+    _assert_csv_within_golden_tolerance(
+        regenerate("eb_tensor"), (committed / "eb_tensor.csv").read_text()
+    )
 
 
 # ----------------------------------------------------------------------- cli
@@ -292,6 +304,23 @@ def test_cli_weights_off_by_rounding_are_exit_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "weights sum to 0.9999999999, not 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "base, extra",
+    [
+        ((GOLDEN_DIR / "stinespring_peak.cfg").read_text(),
+         "channel = depolarizing\nweights = 0.25, 0.75\n"),
+        (SWEEP_TEXT, "weights = 0.1, 0.2, 0.3, 0.4\n"),
+    ],
+    ids=["stinespring-peak-channel-weights", "psistar-sweep-weights"],
+)
+def test_cli_unused_channel_keys_are_exit_one(tmp_path, capsys, base, extra):
+    # the keys would name a channel the experiment does not measure
+    code = cli_main(["run", _write(tmp_path, "x.cfg", base + extra), "--out", "-"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "not used by" in captured.err
 
 
 def test_cli_missing_output_is_exit_one(tmp_path):

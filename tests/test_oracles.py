@@ -2,6 +2,8 @@
 its supremum over the sphere, subset enumeration, and peak-eigenvalue
 formulas."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,6 +248,121 @@ def test_sphere_sup_bounds_on_size():
         sphere_sup([1.0])
     with pytest.raises(CapacityExceededError):
         sphere_sup(np.full(21, 1.0 / 21.0))
+
+
+# ----------------------------------------- per-subset reference enumeration
+
+
+def _reference_subset(subset, w):
+    """(beta, gamma, valid, h) of one subset by plain per-subset arithmetic."""
+    wj = w[list(subset)]
+    m = len(subset)
+    beta = float(wj.sum())
+    gamma = float(1.0 / np.sum(1.0 / wj))
+    excess = m - 2
+    valid = m <= 3 or bool(wj.min() >= gamma * abs(excess))
+    value = float(np.sqrt(max(0.0, beta - gamma * excess**2)))
+    return beta, gamma, valid, value
+
+
+def _reference_maximizer(subset, w):
+    beta, gamma, _, _ = _reference_subset(subset, w)
+    a = np.zeros(w.size)
+    if len(subset) == 1:
+        a[subset[0]] = 1.0
+        return a
+    wj = w[list(subset)]
+    excess = len(subset) - 2
+    denom = beta - gamma * excess**2
+    a[list(subset)] = np.sqrt(np.maximum(0.0, wj - (gamma * excess) ** 2 / wj) / denom)
+    return a
+
+
+def _reference_sup(w):
+    """One subset at a time: the full set if it is valid, else every subset by
+    size then lexicographic order, ties to the lexicographically smallest.
+    Returns (value, argmax subset, rows) with rows [(subset, data)] in
+    evaluation order."""
+    full = tuple(range(w.size))
+    rows = [(full, _reference_subset(full, w))]
+    if not rows[0][1][2]:
+        rows = [
+            (combo, _reference_subset(combo, w))
+            for size in range(1, w.size + 1)
+            for combo in combinations(range(w.size), size)
+        ]
+    best = None
+    for subset, (_, _, valid, value) in rows:
+        if valid and (
+            best is None
+            or value > best[0]
+            or (value == best[0] and subset < best[1])
+        ):
+            best = (value, subset)
+    return best[0], best[1], rows
+
+
+def _assert_sup_matches_reference(w):
+    value, subset, rows = _reference_sup(w)
+    res = sphere_sup(w)
+    assert res.value == value
+    assert res.argmax_subset == subset
+    assert np.array_equal(res.maximizer, _reference_maximizer(subset, w))
+    assert len(res.evaluations) == len(rows)
+    assert sum(ev.valid for ev in res.evaluations) == sum(r[1][2] for r in rows)
+    for ev, (combo, data) in zip(res.evaluations, rows):
+        assert ev.subset == combo
+        assert (ev.weight_sum, ev.harmonic_scale, ev.valid, ev.value) == data
+    return rows
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_subset_kernel_matches_reference_bit_for_bit(k):
+    rng = stream(12, k)
+    spread = rng.random(k) + 1e-3
+    light = rng.random(k) + 1e-3
+    light[rng.integers(k)] *= 1e-3  # one tiny weight invalidates the full set
+    for w in (spread / spread.sum(), light / light.sum()):
+        for size in range(1, k + 1):
+            for combo in combinations(range(k), size):
+                ev = evaluate_subset(combo, w)
+                got = (ev.weight_sum, ev.harmonic_scale, ev.valid, ev.value)
+                assert got == _reference_subset(combo, w), combo
+                if ev.valid:
+                    assert np.array_equal(ev.maximizer, _reference_maximizer(combo, w))
+                else:
+                    assert ev.maximizer is None
+        _assert_sup_matches_reference(w)
+    if k >= 4:
+        assert len(sphere_sup(light / light.sum()).evaluations) == 2**k - 1
+
+
+@pytest.mark.parametrize("r", [0.007, 0.018])
+def test_sphere_sup_matches_reference_at_k16(r):
+    rows = _assert_sup_matches_reference(one_heavy_weights(16, r))
+    assert len(rows) == 2**16 - 1
+
+
+def test_sphere_sup_tie_break_matches_reference():
+    # h(J + {x}) = h(J) exactly when x = gamma_J (#J - 2), so a block of n
+    # equal weights preceded by copies of x = (n - 2)/n ties across sizes;
+    # a tiny last weight makes the full set invalid
+    tied = []
+    for copies in (1, 2):
+        for n in range(4, 8):
+            for tiny in (1e-3, 2e-3, 5e-3, 1e-2):
+                w = np.array([(n - 2) / n] * copies + [1.0] * n + [tiny])
+                w /= w.sum()
+                value, subset, rows = _reference_sup(w)
+                maxima = [c for c, (_, _, valid, h) in rows if valid and h == value]
+                if len(maxima) >= 2:
+                    tied.append((w, subset, maxima))
+    assert tied, "no weight vector with a tied maximum found"
+    for w, subset, maxima in tied:
+        assert subset == min(maxima)
+        _assert_sup_matches_reference(w)
+    # in some of them the winner is not the first maximum met in size order
+    assert any(len(subset) > min(len(c) for c in maxima) for _, subset, maxima in tied)
 
 
 # -------------------------------------------------------------- norm limits
