@@ -60,6 +60,7 @@ from .oracles import (
     SubsetEvaluation,
     eb_limit,
     evaluate_subset,
+    flat_tail_entropy,
     free_unitary_sum_norm,
     maximize_over_sphere,
     mixed_unitary_norm_limit,

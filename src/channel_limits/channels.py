@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     BadWeightsError,
     DimensionMismatchError,
+    InvalidDensityMatrixError,
     InvalidPOVMError,
     NotUnitaryError,
     RepresentationUnavailableError,
@@ -36,6 +37,7 @@ from .linalg import (
     hermitize,
     partial_trace_right,
     state_matrix,
+    unit_vector,
 )
 
 ISOMETRY_TOL = 1e-10
@@ -82,6 +84,19 @@ def validate_povm(povm, tol: float = POVM_TOL) -> np.ndarray:
     return np.stack(ms)
 
 
+def _operand(obj, dim: int, what: str, side: str) -> np.ndarray:
+    """A 1-D array as a finite vector, anything else as a matrix; first axis must be `dim`."""
+    if isinstance(obj, DensityMatrix) or np.ndim(obj) != 1:
+        a = state_matrix(obj)
+    else:
+        a = np.asarray(obj, dtype=np.complex128)
+        if not np.all(np.isfinite(a)):
+            raise InvalidDensityMatrixError("vector has non-finite entries")
+    if a.shape[0] != dim:
+        raise DimensionMismatchError(f"{what} dim {a.shape[0]} != channel {side} dim {dim}")
+    return a
+
+
 class Channel:
     """Base class: linear action plus validated state-level wrappers."""
 
@@ -99,23 +114,25 @@ class Channel:
     def apply(self, state) -> DensityMatrix:
         """Apply to a state, returning a validated state.
 
-        Accepts a DensityMatrix or a raw matrix; the output is hermitized
-        and has eigenvalue dust below 1e-10 clipped before renormalizing.
+        Accepts a DensityMatrix, a raw matrix, or a unit vector v for the
+        pure state vv*, which goes through `apply_pure` without forming
+        the projector.  The output is hermitized and has eigenvalue dust
+        below 1e-10 clipped before renormalizing.
         """
-        x = state_matrix(state)
-        if x.shape[0] != self.input_dim:
-            raise DimensionMismatchError(
-                f"state dim {x.shape[0]} != channel input dim {self.input_dim}"
-            )
+        x = _operand(state, self.input_dim, "state", "input")
+        if x.ndim == 1:
+            return DensityMatrix.normalized(self.apply_pure(unit_vector(x)))
         return DensityMatrix.normalized(self.apply_matrix(x))
 
     def adjoint(self, observable) -> np.ndarray:
-        """Adjoint action on an output-side observable, hermitized."""
-        y = state_matrix(observable)
-        if y.shape[0] != self.output_dim:
-            raise DimensionMismatchError(
-                f"observable dim {y.shape[0]} != channel output dim {self.output_dim}"
-            )
+        """Adjoint action on an output-side observable, hermitized.
+
+        A vector a stands for the rank-one observable aa* and goes through
+        `adjoint_rank_one`.
+        """
+        y = _operand(observable, self.output_dim, "observable", "output")
+        if y.ndim == 1:
+            return self.adjoint_rank_one(y)
         return hermitize(self.adjoint_matrix(y))
 
     def apply_pure(self, vector: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ from .geometry import (
 )
 from .linalg import DensityMatrix, hermitian_eigs
 from .oracles import (
+    flat_tail_entropy,
     mixed_unitary_norm_limit,
     one_heavy_sup_value,
     one_heavy_weights,
@@ -75,13 +76,18 @@ def _build_channel(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> C
 def _build_probe(
     cfg: ExperimentConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Probe state and, when it is rank one, its unit coefficient vector."""
+    """Probe to lift and, when it is rank one, its unit coefficient vector.
+
+    A probe built from a vector a is lifted as that vector (the rank-one
+    observable aa*); an explicit probe is lifted as its matrix even when
+    it is rank one, since its top eigenvector only matches it to 1e-10.
+    """
     if cfg.probe == "flat-rank-one":
         a = np.ones(cfg.k, dtype=np.complex128) / np.sqrt(cfg.k)
-        return np.outer(a, a.conj()), a
+        return a, a
     if cfg.probe == "random-pure":
         a = sample_pure_state(cfg.k, rng)
-        return np.outer(a, a.conj()), a
+        return a, a
     mat = DensityMatrix(cfg.probe_array()).matrix
     vals, vecs = hermitian_eigs(mat)
     if vals[0] >= 1.0 - 1e-10:
@@ -116,10 +122,10 @@ def _record(cfg, trial, n, probe, values, target):
 def _run_cm_convergence(cfg, trial, n):
     rng = stream(cfg.master_seed, trial)
     channel = _build_channel(cfg, n, rng)
-    state, coeff = _build_probe(cfg, rng)
+    observable, coeff = _build_probe(cfg, rng)
     target = _rank_one_target(cfg, coeff)
     count = min(cfg.m, channel.input_dim)
-    probe = probe_top_eigenvalues(channel, state, count, target)
+    probe = probe_top_eigenvalues(channel, observable, count, target)
     return _record(
         cfg, trial, n, cfg.probe, (*probe.eigenvalues, probe.spread), target
     )
@@ -142,13 +148,17 @@ def _run_norm_limit(cfg, trial, n):
 def _run_weyl_invariance(cfg, trial, n):
     rng = stream(cfg.master_seed, trial)
     channel = _build_channel(cfg, n, rng)
-    state, coeff = _build_probe(cfg, rng)
+    observable, coeff = _build_probe(cfg, rng)
     target = _rank_one_target(cfg, coeff)
     values = []
     for shift in range(cfg.k):
         for phase in range(cfg.k):
             w = weyl_operator(shift, phase, cfg.k)
-            conjugated = w @ state @ w.conj().T
+            # W aa* W* is the rank-one observable on W a
+            if observable.ndim == 1:
+                conjugated = w @ observable
+            else:
+                conjugated = w @ observable @ w.conj().T
             probe = probe_top_eigenvalues(channel, conjugated, 1)
             values.append(probe.top)
     return _record(cfg, trial, n, cfg.probe, tuple(values), target)
@@ -174,18 +184,13 @@ def _run_output_cloud(cfg, trial, n):
     cloud = list(ascent.outputs)
     for _ in range(cfg.samples):
         v = sample_pure_state(channel.input_dim, rng)
-        cloud.append(channel.apply(DensityMatrix.pure(v)))
+        cloud.append(channel.apply(v))
     smin = estimate_smin(cloud)
     holevo = holevo_from_smin(cfg.k, smin)
     kind = cfg.channel_kind()
     target = None
     if kind == "stinespring":
-        peak = stinespring_peak_eigenvalue(cfg.k, cfg.t)
-        if peak >= 1.0:
-            target = 0.0
-        else:
-            rest = (1.0 - peak) / (cfg.k - 1)
-            target = float(-peak * np.log(peak) - (cfg.k - 1) * rest * np.log(rest))
+        target = flat_tail_entropy(cfg.k, stinespring_peak_eigenvalue(cfg.k, cfg.t))
     elif kind == "depolarizing":
         target = float(np.log(cfg.k))
     return _record(cfg, trial, n, "cloud", (smin, holevo, ascent.value), target)

@@ -51,6 +51,9 @@ def probe_top_eigenvalues(
 ) -> SpectrumProbe:
     """Top `count` eigenvalues of the adjoint action on one observable.
 
+    The observable is anything `Channel.adjoint` takes: a matrix, or a
+    vector a for the rank-one observable aa*.
+
     The spread (largest minus smallest reported eigenvalue) measures how
     far the spectrum edge is from collapsing to its limit value.
     """

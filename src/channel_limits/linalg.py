@@ -38,6 +38,15 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+def unit_vector(vector) -> np.ndarray:
+    """Flatten to a complex vector whose norm is 1 within 1e-12."""
+    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    nrm = float(np.linalg.norm(v))
+    if abs(nrm - 1.0) > 1e-12:
+        raise NotUnitVectorError(f"norm {nrm!r} differs from 1 beyond 1e-12")
+    return v
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max-norm distance from m to its own adjoint."""
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -155,10 +164,7 @@ class DensityMatrix:
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":
         """Rank-one state from a unit vector."""
-        v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > 1e-12:
-            raise NotUnitVectorError(f"norm {nrm!r} differs from 1 beyond 1e-12")
+        v = unit_vector(vector)
         return cls(np.outer(v, v.conj()), _validated=True)
 
     @classmethod

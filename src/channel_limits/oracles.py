@@ -341,6 +341,22 @@ def stinespring_peak_eigenvalue(k: int, t: float) -> float:
     )
 
 
+def flat_tail_entropy(k: int, peak: float) -> float:
+    """Entropy of the spectrum (peak, r, ..., r) on k points, r = (1 - peak)/(k - 1).
+
+    With `peak` the limiting top output eigenvalue this is the limiting
+    minimum output entropy; it is 0 once the peak reaches 1.
+    """
+    if k < 2:
+        raise OutOfRangeError("need output dimension k >= 2")
+    if not peak > 0.0:
+        raise OutOfRangeError(f"peak = {peak} must be positive")
+    if peak >= 1.0:
+        return 0.0
+    rest = (1.0 - peak) / (k - 1)
+    return float(-peak * np.log(peak) - (k - 1) * rest * np.log(rest))
+
+
 def one_heavy_weights(k: int, r: float) -> np.ndarray:
     """Weight vector (r, (1-r)/(k-1), ..., (1-r)/(k-1))."""
     if k < 2:

@@ -15,6 +15,7 @@ from channel_limits import (
     make_pinching,
     sample_density_matrix,
     sample_mixed_unitary_channel,
+    sample_projective_povm,
     sample_pure_state,
     sample_stinespring_channel,
     stream,
@@ -24,8 +25,10 @@ from channel_limits import (
 from channel_limits.errors import (
     BadWeightsError,
     DimensionMismatchError,
+    InvalidDensityMatrixError,
     InvalidPOVMError,
     NotUnitaryError,
+    NotUnitVectorError,
     RepresentationUnavailableError,
 )
 
@@ -200,6 +203,47 @@ def test_rank_one_fast_paths_match_generic():
         assert np.abs(
             ch.adjoint_rank_one(a) - ch.adjoint_matrix(np.outer(a, a.conj()))
         ).max() <= 1e-12
+
+
+def _sample_channel(kind, rng):
+    if kind == "stinespring":
+        return sample_stinespring_channel(3, 4, 7, rng)
+    if kind == "mixed-unitary":
+        return sample_mixed_unitary_channel(3, 5, [0.2, 0.3, 0.5], rng)
+    if kind == "eb":
+        povm = sample_projective_povm([1, 2, 2], rng)
+        return EBChannel(povm, [sample_density_matrix(3, rng) for _ in povm])
+    return make_depolarizing(3, 4)
+
+
+@pytest.mark.parametrize("kind", ["stinespring", "mixed-unitary", "eb", "depolarizing"])
+def test_vector_forms_match_matrix_forms(kind):
+    rng = np.random.default_rng(31)
+    ch = _sample_channel(kind, rng)
+    for _ in range(3):
+        v = sample_pure_state(ch.input_dim, rng)
+        pure = ch.apply(v)
+        assert isinstance(pure, DensityMatrix)
+        assert np.abs(pure.matrix - ch.apply(DensityMatrix.pure(v)).matrix).max() <= 1e-14
+        # an observable vector need not be a unit vector
+        a = rng.standard_normal(ch.output_dim) + 1j * rng.standard_normal(ch.output_dim)
+        lifted = ch.adjoint(a)
+        assert np.abs(lifted - ch.adjoint(np.outer(a, a.conj()))).max() <= 1e-14
+        assert np.array_equal(lifted, lifted.conj().T)
+
+
+def test_vector_forms_check_length_and_norm():
+    rng = np.random.default_rng(32)
+    ch = sample_stinespring_channel(3, 4, 7, rng)
+    with pytest.raises(DimensionMismatchError):
+        ch.apply(sample_pure_state(ch.input_dim + 1, rng))
+    with pytest.raises(DimensionMismatchError):
+        ch.adjoint(sample_pure_state(ch.output_dim - 1, rng))
+    v = sample_pure_state(ch.input_dim, rng)
+    with pytest.raises(NotUnitVectorError):
+        ch.apply(v * (1.0 + 1e-9))
+    with pytest.raises(InvalidDensityMatrixError):
+        ch.adjoint(np.array([np.nan, 0.0, 0.0]))
 
 
 # -------------------------------------------------------------- complements

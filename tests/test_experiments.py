@@ -16,6 +16,7 @@ from channel_limits.config import (
     validate_config,
     with_overrides,
 )
+from channel_limits.ensembles import sample_mixed_unitary_channel, stream
 from channel_limits.errors import ConfigError, EmptyResultsError
 from channel_limits.experiments import (
     emit_results,
@@ -24,6 +25,8 @@ from channel_limits.experiments import (
     render_json,
     run_experiment,
 )
+from channel_limits.geometry import probe_top_eigenvalues
+from channel_limits.linalg import DensityMatrix
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -145,6 +148,23 @@ def test_depolarizing_probe_is_exact():
         assert rec.target == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
+def test_explicit_rank_one_probe_lifts_its_matrix():
+    # the probe is aa* for a = (0.6, 0.8i); the runner lifts the matrix it
+    # was given, not the eigenvector it recovers for the target
+    text = (
+        "experiment = cm-convergence\nk = 2\nweights = 0.25, 0.75\n"
+        "probe = explicit\nprobeMatrix = 0.36,0 ; 0,-0.48 ; 0,0.48 ; 0.64,0\n"
+        "nGrid = 12\ntrials = 1\nm = 3\nmasterSeed = 4\n"
+    )
+    cfg = parse_config_text(text)
+    (record,) = run_experiment(cfg)
+    channel = sample_mixed_unitary_channel(2, 12, cfg.weights, stream(4, 0))
+    matrix = DensityMatrix(cfg.probe_array()).matrix
+    probe = probe_top_eigenvalues(channel, matrix, 3)
+    assert record.values == (*probe.eigenvalues, probe.spread)
+    assert record.target is not None
+
+
 def test_psistar_sweep_tracks_piecewise_curve():
     cfg = parse_config_text(SWEEP_TEXT)
     records = run_experiment(cfg)
@@ -234,16 +254,17 @@ def test_monte_carlo_runs_match_golden_files(stem):
 
 
 def test_fast_configs_reproduce_committed_results():
-    # the two configs that run in well under a second; the closed-form sweep
-    # is exact, the Monte-Carlo run is held to the golden tolerance
+    # the configs that run in seconds; the closed-form sweep is exact, the
+    # Monte-Carlo runs are held to the golden tolerance
     def regenerate(stem):
         return render_csv(run_experiment(load_config(str(REPO / "configs" / f"{stem}.cfg"))))
 
     committed = REPO / "results"
     assert regenerate("psistar_sweep") == (committed / "psistar_sweep.csv").read_text()
-    _assert_csv_within_golden_tolerance(
-        regenerate("eb_tensor"), (committed / "eb_tensor.csv").read_text()
-    )
+    for stem in ("eb_tensor", "weyl_invariance", "output_cloud"):
+        _assert_csv_within_golden_tolerance(
+            regenerate(stem), (committed / f"{stem}.csv").read_text()
+        )
 
 
 # ----------------------------------------------------------------------- cli
@@ -360,3 +381,15 @@ def test_reruns_are_byte_identical_across_thread_counts(tmp_path):
     pooled = render_csv(run_experiment(cfg, threads=8))
     assert first == second
     assert first == pooled
+
+
+def test_output_cloud_is_byte_identical_across_worker_threads():
+    # the size of one benchmark output-cloud trial, two trials per run
+    text = (
+        "experiment = output-cloud\nk = 2\nt = 0.3\nnGrid = 200\ntrials = 2\n"
+        "samples = 1000\nrestarts = 1\niterCap = 20\nmasterSeed = 5\n"
+    )
+    cfg = parse_config_text(text)
+    serial = render_csv(run_experiment(cfg, threads=1))
+    pooled = render_csv(run_experiment(cfg, threads=2))
+    assert serial == pooled

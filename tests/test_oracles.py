@@ -12,6 +12,7 @@ from channel_limits import (
     DensityMatrix,
     EBChannel,
     evaluate_subset,
+    flat_tail_entropy,
     free_unitary_sum_norm,
     hermitian_eigenvalues,
     maximize_over_sphere,
@@ -25,6 +26,7 @@ from channel_limits import (
     stationary_x,
     stinespring_peak_eigenvalue,
     stream,
+    von_neumann_entropy,
 )
 from channel_limits.errors import (
     CapacityExceededError,
@@ -450,6 +452,23 @@ def test_peak_eigenvalue_domain():
         stinespring_peak_eigenvalue(2, 0.0)
     with pytest.raises(OutOfRangeError):
         stinespring_peak_eigenvalue(2, 1.5)
+
+
+@pytest.mark.parametrize("k, peak", [(2, 0.9582575694955839), (3, 0.5), (5, 0.2)])
+def test_flat_tail_entropy_is_entropy_of_its_spectrum(k, peak):
+    rest = (1.0 - peak) / (k - 1)
+    spectrum = DensityMatrix.diagonal([peak] + [rest] * (k - 1))
+    assert flat_tail_entropy(k, peak) == pytest.approx(
+        von_neumann_entropy(spectrum), abs=1e-14
+    )
+
+
+def test_flat_tail_entropy_saturates_and_checks_domain():
+    assert flat_tail_entropy(2, 1.0) == 0.0
+    with pytest.raises(OutOfRangeError):
+        flat_tail_entropy(1, 0.5)
+    with pytest.raises(OutOfRangeError):
+        flat_tail_entropy(3, 0.0)
 
 
 # -------------------------------------------------------------- weight family
