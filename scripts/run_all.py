@@ -5,14 +5,22 @@ Usage: python scripts/run_all.py [--threads T] [--seed S] [--only NAME]
 
 Results land in results/<config-stem>.csv relative to the repository
 root.  Passing --only selects configs whose stem contains NAME.
+
+OPENBLAS_NUM_THREADS defaults to 1, the setting the committed results/
+were written with, so regenerated files compare byte for byte with them.
+A value already set in the environment wins.
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
-from channel_limits.cli import main as cli_main
+# must precede the numpy import that channel_limits makes
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from channel_limits.cli import main as cli_main  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -105,7 +105,7 @@ def norm_ascent(
         prev = -np.inf
         for _ in range(iter_cap):
             lifted = channel.adjoint_rank_one(a)
-            x = hermitian_eigs(lifted).eigenvectors[:, 0]
+            x = hermitian_eigs(lifted, top=True).eigenvectors[:, 0]
             out = channel.apply_pure(x)
             vals, vecs = hermitian_eigs(out)
             a = vecs[:, 0]

@@ -73,19 +73,51 @@ class EigenSystem(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def hermitian_eigs(m, tol: float = HERMITIAN_TOL) -> EigenSystem:
-    """Full eigensystem of a Hermitian matrix, eigenvalues descending.
+def hermitian_eigs(m, tol: float = HERMITIAN_TOL, *, top: bool = False) -> EigenSystem:
+    """Eigensystem of a Hermitian matrix, eigenvalues descending.
 
-    Ties keep the solver's ordering.  Raises NonHermitianError when the
-    input is further than `tol` from Hermitian in max norm, and
-    NoConvergenceError when the underlying solver gives up.
+    Ties keep the solver's ordering.  With `top=True` only the largest
+    eigenvalue and one unit eigenvector for it are returned (one value,
+    one column), which costs less than the full solve.  Raises
+    NonHermitianError when the input is further than `tol` from Hermitian
+    in max norm, and NoConvergenceError when the underlying solver gives
+    up or the top eigenvector misses its residual bound.
     """
     h = _hermitian_part(m, tol)
     try:
+        if top:
+            return _top_eigenpair(h)
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergenceError(str(exc)) from exc
     return EigenSystem(vals[::-1].copy(), vecs[:, ::-1].copy())
+
+
+def _top_eigenpair(h: np.ndarray) -> EigenSystem:
+    """Top eigenpair of the Hermitian `h` (overwritten) by shifted inverse iteration.
+
+    The eigenvalue comes from `eigvalsh`, which skips the back-transformation
+    that makes `eigh` about twice as expensive.  The vector comes from two
+    solves with h - sigma I, sigma just above the top eigenvalue, from a
+    start vector fixed by the dimension (as LAPACK's ?stein does), so the
+    result does not depend on any caller's random stream.  One solve leaves
+    errors near 1e-12 when the top of the spectrum is clustered; two bring
+    them to rounding level.
+    """
+    n = h.shape[0]
+    lam = float(np.linalg.eigvalsh(h)[-1])
+    tol = 1e-12 * max(1.0, abs(lam))
+    sigma = lam + tol
+    x = np.random.default_rng(n).standard_normal(n).astype(np.complex128)
+    h.flat[:: n + 1] -= sigma
+    for _ in range(2):
+        x = np.linalg.solve(h, x)
+        x /= np.linalg.norm(x)
+    # h now holds h - sigma I, so h x + (sigma - lam) x = (h_orig - lam I) x
+    residual = float(np.linalg.norm(h @ x + (sigma - lam) * x))
+    if not residual <= tol:
+        raise NoConvergenceError(f"top eigenvector residual {residual:.3e} > {tol:.1e}")
+    return EigenSystem(np.array([lam]), x[:, None])
 
 
 def hermitian_eigenvalues(m, tol: float = HERMITIAN_TOL) -> np.ndarray:

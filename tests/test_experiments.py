@@ -229,8 +229,8 @@ def test_golden_file_schema_is_stable():
 
 
 def _assert_csv_within_golden_tolerance(got_text, golden_text):
-    # identifying columns exactly; floats within 1e-12 relative, the
-    # agreement promised across machines and BLAS thread settings
+    # identifying columns exactly; each float x within 1e-12 * max(1, |x|),
+    # the agreement promised across machines and BLAS thread settings
     got = [line.split(",") for line in got_text.splitlines()]
     want = [line.split(",") for line in golden_text.splitlines()]
     assert len(got) == len(want)

@@ -8,6 +8,7 @@ from channel_limits import (
     DensityMatrix,
     EBChannel,
     StinespringChannel,
+    StinespringRegime,
     eb_limit,
     estimate_smin,
     hermitian_eigenvalues,
@@ -93,6 +94,31 @@ def test_ascent_trajectory_is_monotone():
     # the reported value is attained by the reported input
     out = ch.apply_pure(res.input_vector)
     assert hermitian_eigenvalues(out).max() == pytest.approx(res.value, abs=1e-10)
+
+
+def _reference_ascent_trajectory(channel, rng, iter_cap, tol=1e-12):
+    # one restart of the alternating ascent, both half-steps by full eigh
+    a = sample_pure_state(channel.output_dim, rng)
+    traj, prev = [], -np.inf
+    for _ in range(iter_cap):
+        x = np.linalg.eigh(channel.adjoint_rank_one(a))[1][:, -1]
+        vals, vecs = np.linalg.eigh(channel.apply_pure(x))
+        a, value = vecs[:, -1], float(vals[-1])
+        traj.append(value)
+        if value <= prev + tol:
+            break
+        prev = value
+    return traj
+
+
+def test_ascent_matches_full_eigh_reference_at_realistic_size():
+    # k = 2, t = 0.3, n = 400: the stinespring-peak lift is 240 x 240
+    regime = StinespringRegime(2, 0.3)
+    ch = regime.sample(400, stream(8, 0))
+    res = norm_ascent(ch, stream(8, 1), restarts=1, iter_cap=20)
+    want = _reference_ascent_trajectory(ch, stream(8, 1), iter_cap=20)
+    assert len(res.trajectory) == len(want)
+    np.testing.assert_allclose(res.trajectory, want, rtol=1e-12, atol=0.0)
 
 
 def test_ascent_tracks_limit_at_large_dimension():

@@ -7,14 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from channel_limits import (
     DensityMatrix,
+    StinespringRegime,
     hermitian_eigenvalues,
     hermitian_eigs,
     hermitize,
     partial_trace_right,
+    sample_pure_state,
+    stream,
     von_neumann_entropy,
 )
 from channel_limits.errors import (
     InvalidDensityMatrixError,
+    NoConvergenceError,
     NonHermitianError,
 )
 
@@ -62,8 +66,56 @@ def test_hermitize_is_exactly_hermitian_and_idempotent():
 
 
 def test_eigs_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for top in (False, True):
+        with pytest.raises(NonHermitianError):
+            hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]), top=top)
+
+
+def _assert_top_pair_matches_eigh(m):
+    want_vals, want_vecs = np.linalg.eigh(m)
+    top = hermitian_eigs(m, top=True)
+    assert top.eigenvalues.shape == (1,) and top.eigenvectors.shape == (len(m), 1)
+    lam = want_vals[-1]
+    assert abs(top.eigenvalues[0] - lam) <= 1e-13 * max(1.0, abs(lam))
+    assert 1.0 - abs(np.vdot(top.eigenvectors[:, 0], want_vecs[:, -1])) <= 1e-12
+
+
+def test_top_eigenpair_matches_full_solve():
+    rng = np.random.default_rng(12)
+    for dim in range(2, 61):
+        _assert_top_pair_matches_eigh(_random_hermitian(dim, rng))
+
+
+def test_top_eigenpair_matches_full_solve_on_stinespring_lift():
+    # the lift the norm ascent solves at the benchmark size (N = 240)
+    rng = stream(3, 0)
+    ch = StinespringRegime(2, 0.3).sample(400, rng)
+    _assert_top_pair_matches_eigh(ch.adjoint_rank_one(sample_pure_state(2, rng)))
+
+
+@pytest.mark.parametrize(
+    "m", [2.5 * np.eye(4), np.diag([0.1, 0.9, -3.0, 0.9, 0.2])], ids=["scalar", "tied-top"]
+)
+def test_top_eigenpair_in_degenerate_top_eigenspace(m):
+    vals, vecs = hermitian_eigs(m, top=True)
+    x = vecs[:, 0]
+    lam = np.max(np.diag(m))
+    assert vals[0] == pytest.approx(lam, abs=1e-14)
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+    assert np.linalg.norm(m @ x - lam * x) <= 1e-12
+
+
+def test_top_eigenpair_does_not_change_its_input():
+    m = _random_hermitian(6, np.random.default_rng(4))
+    kept = m.copy()
+    hermitian_eigs(m, top=True)
+    assert np.array_equal(m, kept)
+
+
+def test_top_eigenpair_reports_a_failed_solve(monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.ones_like(b))
+    with pytest.raises(NoConvergenceError, match="residual"):
+        hermitian_eigs(_random_hermitian(6, np.random.default_rng(5)), top=True)
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 7))
