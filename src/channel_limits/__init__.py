@@ -33,7 +33,6 @@ from .ensembles import (
 from .experiments import (
     ExperimentRecord,
     emit_results,
-    parse_records_json,
     run_experiment,
 )
 from .geometry import (
@@ -68,7 +67,6 @@ from .oracles import (
     one_heavy_weights,
     rank_one_limit,
     sphere_sup,
-    stationary_x,
     stinespring_peak_eigenvalue,
 )
 from .tensor_lab import (

@@ -1,21 +1,20 @@
 """Quantum channels in the representations the experiments need.
 
 A channel maps states on C^N to states on C^k.  Every class below stores
-the most structured description it was built from and only materializes
-the isometric dilation when an operation genuinely needs it:
+the most structured description it was built from:
 
 * ``StinespringChannel`` -- an isometry V : C^N -> C^k (x) C^n with the
   channel X -> Tr_env[V X V*].
 * ``MixedUnitaryChannel`` -- weights w and unitaries U_1..U_k on C^n with
-  output entries (Phi(X))_{ij} = sqrt(w_i w_j) Tr[U_i X U_j*].  Its
-  complementary channel is the familiar mixture X -> sum_i w_i U_i X U_i*.
+  output entries (Phi(X))_{ij} = sqrt(w_i w_j) Tr[U_i X U_j*].  This is
+  the Stinespring channel whose isometry stacks the blocks sqrt(w_i) U_i,
+  with environment C^n, so it shares that class's kernels.
 * ``EBChannel`` -- a measure-and-prepare map X -> sum_i Tr[X M_i] sigma_i
   for a POVM (M_i) and states (sigma_i).
 * ``DepolarizingChannel`` -- X -> Tr[X] I/k.
 
-Adjoint actions are implemented directly on the structured data, so the
-mixed-unitary adjoint costs k matrix products on C^n instead of touching
-the (kn x kn) dilation projection.
+Stinespring adjoints contract an observable A across the isometry's
+output blocks, so a lift never forms the (kn x kn) operator A (x) I.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .errors import (
     InvalidDensityMatrixError,
     InvalidPOVMError,
     NotUnitaryError,
-    RepresentationUnavailableError,
 )
 from .linalg import (
     DensityMatrix,
@@ -57,11 +55,11 @@ def validate_weights(weights) -> np.ndarray:
     return w
 
 
-def _check_unitary(u: np.ndarray, tol: float = ISOMETRY_TOL) -> None:
-    n = u.shape[0]
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-    if defect > tol:
-        raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
+def _check_isometry(v: np.ndarray) -> None:
+    """Raise unless V*V = I within ISOMETRY_TOL; for square V, unitarity."""
+    defect = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
+    if defect > ISOMETRY_TOL:
+        raise NotUnitaryError(f"isometry defect {defect:.3e} exceeds {ISOMETRY_TOL:.1e}")
 
 
 def validate_povm(povm, tol: float = POVM_TOL) -> np.ndarray:
@@ -145,16 +143,6 @@ class Channel:
         v = np.asarray(vector, dtype=np.complex128).reshape(-1)
         return hermitize(self.adjoint_matrix(np.outer(v, v.conj())))
 
-    def complementary(self) -> "StinespringChannel":
-        raise RepresentationUnavailableError(
-            f"{type(self).__name__} stores no isometric dilation"
-        )
-
-    def dilation_projection(self) -> np.ndarray:
-        raise RepresentationUnavailableError(
-            f"{type(self).__name__} stores no isometric dilation"
-        )
-
 
 class StinespringChannel(Channel):
     """Channel X -> Tr_env[V X V*] for an isometry V : C^N -> C^k (x) C^env.
@@ -175,9 +163,7 @@ class StinespringChannel(Channel):
             )
         if v.shape[1] > v.shape[0]:
             raise DimensionMismatchError("isometry must not shrink row space")
-        defect = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
-        if defect > ISOMETRY_TOL:
-            raise NotUnitaryError(f"isometry defect {defect:.3e} exceeds 1e-10")
+        _check_isometry(v)
         self.isometry = v
         self.output_dim = int(output_dim)
         self.env_dim = int(env_dim)
@@ -210,25 +196,14 @@ class StinespringChannel(Channel):
         b = np.tensordot(a.conj(), v, axes=(0, 0))
         return hermitize(b.conj().T @ b)
 
-    def complementary(self) -> "StinespringChannel":
-        """Swap which dilation factor is traced out."""
-        v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
-        swapped = v.transpose(1, 0, 2).reshape(
-            self.env_dim * self.output_dim, self.input_dim
-        )
-        return StinespringChannel(swapped, self.env_dim, self.output_dim)
 
-    def dilation_projection(self) -> np.ndarray:
-        """Orthogonal projection V V* onto the isometry's range."""
-        return self.isometry @ self.isometry.conj().T
-
-
-class MixedUnitaryChannel(Channel):
+class MixedUnitaryChannel(StinespringChannel):
     """Weighted family of unitaries, output entries sqrt(w_i w_j) Tr[U_i X U_j*].
 
-    The stored data are the weights (strictly positive, summing to 1) and
-    the unitaries; the dilation isometry stacks sqrt(w_i) U_i as blocks
-    and is only materialized on demand.
+    Stores the weights (strictly positive, summing to 1), the unitaries
+    and the Stinespring isometry stacking sqrt(w_i) U_i as blocks.  Each
+    U_i is checked to be unitary on its own: the stacked isometry alone
+    would only certify sum_i w_i U_i* U_i = I.
     """
 
     def __init__(self, weights, unitaries):
@@ -240,50 +215,12 @@ class MixedUnitaryChannel(Channel):
         for u in us:
             if u.shape[0] != n:
                 raise DimensionMismatchError("unitaries must share a dimension")
-            _check_unitary(u)
+            _check_isometry(u)
         self.weights = w
         self.unitaries = np.stack(us)
         self.output_dim = int(w.size)
-        self.input_dim = n
-        self._scaled = np.sqrt(w)[:, None, None] * self.unitaries
-
-    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        y = self._scaled @ x
-        return np.einsum("iab,jab->ij", y, self._scaled.conj())
-
-    def adjoint_matrix(self, y: np.ndarray) -> np.ndarray:
-        # sum_ij sqrt(w_i w_j) Y_ij U_i* U_j as one GEMM on stacked blocks
-        y = np.asarray(y, dtype=np.complex128)
-        k, n = self.output_dim, self.input_dim
-        mixed = np.tensordot(y, self._scaled, axes=(1, 0))
-        flat_s = self._scaled.reshape(k * n, n)
-        flat_m = mixed.reshape(k * n, n)
-        return flat_s.conj().T @ flat_m
-
-    def apply_pure(self, vector: np.ndarray) -> np.ndarray:
-        v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        y = self._scaled @ v
-        return y @ y.conj().T
-
-    def adjoint_rank_one(self, vector: np.ndarray) -> np.ndarray:
-        # the lift of aa* factors as C*C with C the conj(a)-weighted block sum
-        a = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        c = np.tensordot(a.conj(), self._scaled, axes=(0, 0))
-        return hermitize(c.conj().T @ c)
-
-    def stinespring(self) -> StinespringChannel:
-        """Dilation with isometry blocks sqrt(w_i) U_i, environment C^n."""
-        v = self._scaled.reshape(self.output_dim * self.input_dim, self.input_dim)
-        return StinespringChannel(v, self.output_dim, self.input_dim)
-
-    def complementary(self) -> StinespringChannel:
-        """The mixture X -> sum_i w_i U_i X U_i* as a Stinespring channel."""
-        return self.stinespring().complementary()
-
-    def dilation_projection(self) -> np.ndarray:
-        """Projection with (i, j) blocks sqrt(w_i w_j) U_i U_j*."""
-        return self.stinespring().dilation_projection()
+        self.env_dim = self.input_dim = n
+        self.isometry = (np.sqrt(w)[:, None, None] * self.unitaries).reshape(w.size * n, n)
 
 
 class EBChannel(Channel):

@@ -35,10 +35,6 @@ class ZeroVectorError(ChannelLimitsError, ValueError):
     """All-zero coefficient vector where a nonzero one is required."""
 
 
-class DegenerateInputError(ChannelLimitsError, ValueError):
-    """Input collapses the problem (e.g. all squared terms vanish)."""
-
-
 class EmptySubsetError(ChannelLimitsError, ValueError):
     """Subset argument must be non-empty."""
 
@@ -61,10 +57,6 @@ class NotUnitaryError(ChannelLimitsError, ValueError):
 
 class InvalidPOVMError(ChannelLimitsError, ValueError):
     """Operators fail to form a positive partition of the identity."""
-
-
-class RepresentationUnavailableError(ChannelLimitsError, ValueError):
-    """Channel lacks the stored representation needed for this operation."""
 
 
 class EmptySampleError(ChannelLimitsError, ValueError):

@@ -125,7 +125,7 @@ def _run_cm_convergence(cfg, trial, n):
     observable, coeff = _build_probe(cfg, rng)
     target = _rank_one_target(cfg, coeff)
     count = min(cfg.m, channel.input_dim)
-    probe = probe_top_eigenvalues(channel, observable, count, target)
+    probe = probe_top_eigenvalues(channel, observable, count)
     return _record(
         cfg, trial, n, cfg.probe, (*probe.eigenvalues, probe.spread), target
     )
@@ -281,24 +281,6 @@ def render_json(records: list[ExperimentRecord]) -> str:
         for r in records
     ]
     return json.dumps(payload, indent=2) + "\n"
-
-
-def parse_records_json(text: str) -> list[ExperimentRecord]:
-    """Inverse of render_json, for round-trip checks and downstream reads."""
-    return [
-        ExperimentRecord(
-            d["experiment"],
-            d["trial"],
-            d["seed"],
-            d["n"],
-            d["k"],
-            d["probe"],
-            tuple(d["values"]),
-            d["target"],
-            d["error"],
-        )
-        for d in json.loads(text)
-    ]
 
 
 def emit_results(records: list[ExperimentRecord], fmt: str = "csv") -> str:

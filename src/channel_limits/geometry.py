@@ -33,22 +33,13 @@ class SpectrumProbe:
 
     eigenvalues: np.ndarray
     spread: float
-    target: float | None = None
 
     @property
     def top(self) -> float:
         return float(self.eigenvalues[0])
 
-    @property
-    def error(self) -> float | None:
-        if self.target is None:
-            return None
-        return abs(self.top - self.target)
 
-
-def probe_top_eigenvalues(
-    channel: Channel, observable, count: int, target: float | None = None
-) -> SpectrumProbe:
+def probe_top_eigenvalues(channel: Channel, observable, count: int) -> SpectrumProbe:
     """Top `count` eigenvalues of the adjoint action on one observable.
 
     The observable is anything `Channel.adjoint` takes: a matrix, or a
@@ -65,7 +56,7 @@ def probe_top_eigenvalues(
         )
     lifted = channel.adjoint(observable)
     vals = hermitian_eigenvalues(lifted)[:count]
-    return SpectrumProbe(vals, float(vals[0] - vals[-1]), target)
+    return SpectrumProbe(vals, float(vals[0] - vals[-1]))
 
 
 @dataclass(frozen=True)

@@ -32,15 +32,13 @@ import numpy as np
 from .channels import validate_weights
 from .errors import (
     CapacityExceededError,
-    DegenerateInputError,
     DimensionMismatchError,
     EmptySubsetError,
     NonHermitianError,
-    NotUnitVectorError,
     OutOfRangeError,
     ZeroVectorError,
 )
-from .linalg import HERMITIAN_TOL, hermiticity_defect, state_matrix
+from .linalg import HERMITIAN_TOL, hermiticity_defect, state_matrix, unit_vector
 
 ENUMERATION_LIMIT = 20
 _BISECTION_STEPS = 90
@@ -73,21 +71,6 @@ def _derivative_roots(squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.where(active, 0.5 * (lo + hi), 0.0)
     values = (2.0 - k) * x + np.sum(np.sqrt(x[:, None] ** 2 + b), axis=1)
     return values, x
-
-
-def stationary_x(squared_terms) -> float:
-    """Root of the norm-surrogate derivative for squared coefficients b_i.
-
-    Returns 0 when the derivative is already non-negative at the boundary
-    (which happens iff 2 - k + #{i : b_i = 0} >= 0).
-    """
-    b = np.asarray(squared_terms, dtype=float).reshape(-1)
-    if b.size == 0 or np.any(b < 0.0):
-        raise OutOfRangeError("squared terms must be a non-empty non-negative vector")
-    if np.all(b == 0.0):
-        raise DegenerateInputError("all squared terms vanish")
-    _, roots = _derivative_roots(b[None, :])
-    return float(roots[0])
 
 
 def free_unitary_sum_norm(coefficients) -> float:
@@ -304,10 +287,7 @@ def rank_one_limit(coefficients, weights) -> float:
     w = validate_weights(weights)
     if a.size != w.size:
         raise DimensionMismatchError("coefficients and weights must have equal length")
-    nrm = float(np.linalg.norm(a))
-    if abs(nrm - 1.0) > 1e-12:
-        raise NotUnitVectorError(f"norm {nrm!r} differs from 1 beyond 1e-12")
-    return free_unitary_sum_norm(a * np.sqrt(w)) ** 2
+    return free_unitary_sum_norm(unit_vector(a) * np.sqrt(w)) ** 2
 
 
 def eb_limit(observable, states) -> float:

@@ -20,11 +20,10 @@ from .channels import Channel, EBChannel, validate_povm
 from .errors import (
     DimensionMismatchError,
     HypothesisViolatedError,
-    NotUnitVectorError,
     OutOfRangeError,
     SingularPError,
 )
-from .linalg import DensityMatrix, hermitize
+from .linalg import DensityMatrix, hermitize, unit_vector
 
 NORM_ONE_TOL = 1e-10
 NEGLIGIBLE_WEIGHT = 1e-14
@@ -38,10 +37,7 @@ def _input_matrix(eb: EBChannel, psi: Channel, vector) -> np.ndarray:
         raise DimensionMismatchError(
             f"vector length {b.size} != {n} * {p}"
         )
-    nrm = float(np.linalg.norm(b))
-    if abs(nrm - 1.0) > 1e-12:
-        raise NotUnitVectorError(f"norm {nrm!r} differs from 1 beyond 1e-12")
-    return b.reshape(n, p)
+    return unit_vector(b).reshape(n, p)
 
 
 def eb_tensor_output(eb: EBChannel, psi: Channel, vector) -> DensityMatrix:

@@ -1,5 +1,5 @@
-"""Channel representations: construction, application, adjoints,
-complements, dilation projections."""
+"""Channel representations: construction, application, adjoints, rank-one
+fast paths, and the mixed-unitary channel as a Stinespring dilation."""
 
 import numpy as np
 import pytest
@@ -29,7 +29,6 @@ from channel_limits.errors import (
     InvalidPOVMError,
     NotUnitaryError,
     NotUnitVectorError,
-    RepresentationUnavailableError,
 )
 
 
@@ -69,6 +68,12 @@ def test_validate_povm_rejects_non_resolution():
 def test_mixed_unitary_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
         MixedUnitaryChannel([0.5, 0.5], [np.eye(2), np.diag([1.0, 2.0])])
+    # the weighted blocks diag(1, 0), diag(0, 1) stack to an isometry, but
+    # neither unitary is one, so each must be checked on its own
+    blocks = [np.diag([np.sqrt(2.0), 0.0]), np.diag([0.0, np.sqrt(2.0)])]
+    StinespringChannel(np.sqrt(0.5) * np.vstack(blocks), 2, 2)
+    with pytest.raises(NotUnitaryError):
+        MixedUnitaryChannel([0.5, 0.5], blocks)
 
 
 def test_stinespring_rejects_non_isometry():
@@ -246,12 +251,42 @@ def test_vector_forms_check_length_and_norm():
         ch.adjoint(np.array([np.nan, 0.0, 0.0]))
 
 
-# -------------------------------------------------------------- complements
+# ------------------------------------------------ mixed unitary as dilation
+
+
+def test_mixed_unitary_kernels_match_direct_index_sums():
+    rng = np.random.default_rng(24)
+    w = np.array([0.2, 0.3, 0.5])
+    ch = sample_mixed_unitary_channel(3, 4, w, rng)
+    assert isinstance(ch, StinespringChannel)
+    blocks = ch.isometry.reshape(3, 4, 4)
+    for i in range(3):
+        assert np.array_equal(blocks[i], np.sqrt(w[i]) * ch.unitaries[i])
+
+    def direct_adjoint(y):
+        return sum(
+            np.sqrt(w[i] * w[j]) * y[i, j] * ch.unitaries[i].conj().T @ ch.unitaries[j]
+            for i in range(3)
+            for j in range(3)
+        )
+
+    y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    assert np.abs(ch.adjoint_matrix(y) - direct_adjoint(y)).max() <= 1e-12
+    a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    rank_one = direct_adjoint(np.outer(a, a.conj()))
+    assert np.abs(ch.adjoint_rank_one(a) - rank_one).max() <= 1e-12
+
+
+def _complement(ch):
+    """The complementary channel: the isometry with its two factors swapped."""
+    v = ch.isometry.reshape(ch.output_dim, ch.env_dim, ch.input_dim)
+    swapped = v.transpose(1, 0, 2).reshape(-1, ch.input_dim)
+    return StinespringChannel(swapped, ch.env_dim, ch.output_dim)
 
 
 def test_complement_of_identity_is_trace():
     ch = StinespringChannel(np.eye(4), 4, 1)
-    comp = ch.complementary()
+    comp = _complement(ch)
     rho = sample_density_matrix(4, np.random.default_rng(3))
     out = comp.apply_matrix(rho.matrix)
     assert out.shape == (1, 1)
@@ -261,7 +296,7 @@ def test_complement_of_identity_is_trace():
 def test_complement_shares_nonzero_spectrum_on_pure_inputs():
     rng = np.random.default_rng(17)
     ch = sample_stinespring_channel(3, 5, 8, rng)
-    comp = ch.complementary()
+    comp = _complement(ch)
     for _ in range(4):
         rho = DensityMatrix.pure(sample_pure_state(8, rng)).matrix
         s1 = _nonzero_spectrum(ch.apply_matrix(rho))
@@ -270,23 +305,11 @@ def test_complement_shares_nonzero_spectrum_on_pure_inputs():
         assert np.abs(s1[:m] - s2[:m]).max() <= 1e-10
 
 
-def test_double_complement_preserves_output_spectra():
-    rng = np.random.default_rng(18)
-    ch = sample_stinespring_channel(3, 4, 6, rng)
-    double = ch.complementary().complementary()
-    for _ in range(3):
-        rho = DensityMatrix.pure(sample_pure_state(6, rng)).matrix
-        s1 = _nonzero_spectrum(ch.apply_matrix(rho))
-        s2 = _nonzero_spectrum(double.apply_matrix(rho))
-        m = min(s1.size, s2.size)
-        assert np.abs(s1[:m] - s2[:m]).max() <= 1e-9
-
-
 def test_mixed_unitary_complement_entrywise_form():
     rng = np.random.default_rng(19)
     w = np.array([0.4, 0.6])
     ch = sample_mixed_unitary_channel(2, 5, w, rng)
-    comp = ch.complementary()
+    comp = _complement(ch)
     rho = sample_density_matrix(5, rng).matrix
     expect = sum(
         wi * u @ rho @ u.conj().T for wi, u in zip(w, ch.unitaries)
@@ -294,42 +317,18 @@ def test_mixed_unitary_complement_entrywise_form():
     assert np.abs(comp.apply_matrix(rho) - expect).max() <= 1e-12
 
 
-def test_eb_channel_has_no_complement_representation():
-    ch = make_pinching(3)
-    with pytest.raises(RepresentationUnavailableError):
-        ch.complementary()
-
-
-# ------------------------------------------------------- dilation projection
-
-
-def test_projection_trivial_environment():
-    ch = StinespringChannel(np.eye(4), 4, 1)
-    assert np.abs(ch.dilation_projection() - np.eye(4)).max() <= 1e-12
-
-
 def test_projection_compression_shares_spectrum_with_adjoint():
+    # compressing A (x) I by the projection VV* onto the isometry's range
+    # leaves the nonzero spectrum of V*(A (x) I)V
     rng = np.random.default_rng(23)
     ch = sample_stinespring_channel(3, 4, 5, rng)
     a = _random_hermitian(3, rng)
-    p = ch.dilation_projection()
+    p = ch.isometry @ ch.isometry.conj().T
     compressed = p @ np.kron(a, np.eye(4)) @ p
     s1 = _nonzero_spectrum(compressed)
     s2 = _nonzero_spectrum(ch.adjoint_matrix(a))
     m = min(s1.size, s2.size)
     assert np.abs(s1[:m] - s2[:m]).max() <= 1e-9
-
-
-def test_mixed_unitary_projection_blocks():
-    rng = np.random.default_rng(24)
-    w = np.array([0.3, 0.7])
-    ch = sample_mixed_unitary_channel(2, 4, w, rng)
-    p = ch.dilation_projection()
-    for i in range(2):
-        for j in range(2):
-            block = p[i * 4 : (i + 1) * 4, j * 4 : (j + 1) * 4]
-            expect = np.sqrt(w[i] * w[j]) * ch.unitaries[i] @ ch.unitaries[j].conj().T
-            assert np.abs(block - expect).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- invariants

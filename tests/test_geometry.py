@@ -38,10 +38,9 @@ from channel_limits.errors import (
 def test_probe_depolarizing_is_exactly_flat():
     ch = make_depolarizing(4, 6)
     a = sample_density_matrix(4, stream(0, 0)).matrix
-    probe = probe_top_eigenvalues(ch, a, 5, target=0.25)
+    probe = probe_top_eigenvalues(ch, a, 5)
     assert np.abs(np.asarray(probe.eigenvalues) - 0.25).max() <= 1e-12
     assert probe.spread <= 1e-12
-    assert probe.error <= 1e-12
 
 
 def test_probe_matches_adjoint_spectrum():
@@ -52,7 +51,6 @@ def test_probe_matches_adjoint_spectrum():
     direct = hermitian_eigenvalues(ch.adjoint_matrix(a))
     assert np.abs(np.asarray(probe.eigenvalues) - direct[:4]).max() <= 1e-12
     assert probe.top == pytest.approx(direct[0], abs=1e-12)
-    assert probe.error is None
 
 
 def test_probe_eb_channel_hits_limit_with_multiplicity():

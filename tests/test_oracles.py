@@ -23,14 +23,12 @@ from channel_limits import (
     sample_density_matrix,
     sample_unit_norm_povm,
     sphere_sup,
-    stationary_x,
     stinespring_peak_eigenvalue,
     stream,
     von_neumann_entropy,
 )
 from channel_limits.errors import (
     CapacityExceededError,
-    DegenerateInputError,
     EmptySubsetError,
     OutOfRangeError,
     ZeroVectorError,
@@ -101,41 +99,6 @@ def test_norm_ignores_phases():
     assert free_unitary_sum_norm(phased) == pytest.approx(
         free_unitary_sum_norm(a), abs=1e-12
     )
-
-
-# ------------------------------------------------------------ stationary point
-
-
-def test_stationary_x_symmetric_triple():
-    got = stationary_x([1.0, 1.0, 1.0])
-    assert got == pytest.approx(1.0 / np.sqrt(8.0), abs=1e-12)
-    residual = -1.0 + 3.0 * got / np.sqrt(got**2 + 1.0)
-    assert abs(residual) <= 1e-12
-
-
-def test_stationary_x_boundary_case():
-    # F(0+) = (2 - k) + #{b_i = 0} = 0 for k=3 with two zero terms, so the
-    # minimum sits at the boundary x = 0
-    assert stationary_x([1.0, 0.0, 0.0]) == 0.0
-
-
-def test_stationary_x_errors():
-    with pytest.raises(OutOfRangeError):
-        stationary_x([])
-    with pytest.raises(OutOfRangeError):
-        stationary_x([1.0, -0.5])
-    with pytest.raises(DegenerateInputError):
-        stationary_x([0.0, 0.0])
-
-
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 6), c=st.floats(0.2, 5.0))
-@settings(max_examples=40, deadline=None)
-def test_stationary_x_scaling(seed, k, c):
-    rng = np.random.default_rng(seed)
-    b = rng.random(k) + 0.01
-    root = stationary_x(b)
-    scaled = stationary_x(c**2 * b)
-    assert scaled == pytest.approx(c * root, rel=1e-7, abs=1e-10)
 
 
 # ----------------------------------------------------------------- subsets
