@@ -200,8 +200,8 @@ class StinespringChannel(Channel):
 class MixedUnitaryChannel(StinespringChannel):
     """Weighted family of unitaries, output entries sqrt(w_i w_j) Tr[U_i X U_j*].
 
-    Stores the weights (strictly positive, summing to 1), the unitaries
-    and the Stinespring isometry stacking sqrt(w_i) U_i as blocks.  Each
+    Stores only the Stinespring isometry stacking sqrt(w_i) U_i as blocks;
+    the weights (strictly positive, summing to 1) are checked first.  Each
     U_i is checked to be unitary on its own: the stacked isometry alone
     would only certify sum_i w_i U_i* U_i = I.
     """
@@ -216,11 +216,11 @@ class MixedUnitaryChannel(StinespringChannel):
             if u.shape[0] != n:
                 raise DimensionMismatchError("unitaries must share a dimension")
             _check_isometry(u)
-        self.weights = w
-        self.unitaries = np.stack(us)
+        blocks = np.stack(us)
+        blocks *= np.sqrt(w)[:, None, None]
         self.output_dim = int(w.size)
         self.env_dim = self.input_dim = n
-        self.isometry = (np.sqrt(w)[:, None, None] * self.unitaries).reshape(w.size * n, n)
+        self.isometry = blocks.reshape(w.size * n, n)
 
 
 class EBChannel(Channel):

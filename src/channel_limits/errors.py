@@ -39,10 +39,6 @@ class EmptySubsetError(ChannelLimitsError, ValueError):
     """Subset argument must be non-empty."""
 
 
-class CapacityExceededError(ChannelLimitsError, ValueError):
-    """Problem size beyond the supported exhaustive-enumeration range."""
-
-
 class OutOfRangeError(ChannelLimitsError, ValueError):
     """Scalar parameter outside its admissible interval."""
 

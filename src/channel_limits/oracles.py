@@ -6,32 +6,28 @@ unitaries.  For coefficients a it equals
     min_{x >= 0} [ 2x + sum_i (sqrt(x^2 + |a_i|^2) - x) ],
 
 a strictly convex one-dimensional problem solved here by bisection on
-the derivative.  Its supremum over unit-norm coefficient vectors with a
-fixed per-coordinate scaling has an exact combinatorial description:
-each subset J of coordinates contributes a candidate value
+the derivative (Akemann and Ostrand, 1976).  Its supremum over unit-norm
+coefficient vectors with a fixed per-coordinate scaling has an exact
+combinatorial description: each subset J of coordinates contributes a
+candidate value
 
     h(J) = sqrt(beta - gamma (#J - 2)^2),
     beta = sum_{j in J} w_j,  gamma = (sum_{j in J} 1/w_j)^{-1},
 
 and the supremum is the largest h(J) over subsets satisfying
-min_{j in J} w_j >= gamma |#J - 2|.  These functions feed the
-Monte-Carlo experiments as exact targets.
+min_{j in J} w_j >= gamma |#J - 2|, always attained on a prefix of the
+weights sorted heaviest first.  These functions feed the Monte-Carlo
+experiments as exact targets.
 """
 
 from __future__ import annotations
 
-import operator
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, repeat
-from math import comb
 
 import numpy as np
 
 from .channels import validate_weights
 from .errors import (
-    CapacityExceededError,
     DimensionMismatchError,
     EmptySubsetError,
     NonHermitianError,
@@ -40,7 +36,6 @@ from .errors import (
 )
 from .linalg import HERMITIAN_TOL, hermiticity_defect, state_matrix, unit_vector
 
-ENUMERATION_LIMIT = 20
 _BISECTION_STEPS = 90
 
 
@@ -66,8 +61,12 @@ def _derivative_roots(squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     mid[:, None] / np.sqrt(mid[:, None] ** 2 + b), axis=1
                 )
             above = f > 0.0
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
+            new_hi = np.where(above, mid, hi)
+            new_lo = np.where(above, lo, mid)
+            # an unmoved bracket is a fixed point: further steps change nothing
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
         x = np.where(active, 0.5 * (lo + hi), 0.0)
     values = (2.0 - k) * x + np.sum(np.sqrt(x[:, None] ** 2 + b), axis=1)
     return values, x
@@ -83,133 +82,43 @@ def free_unitary_sum_norm(coefficients) -> float:
 
 
 @dataclass(frozen=True)
-class _SubsetTable:
-    """Candidate data for the rows of an index array of equal-size subsets."""
+class SubsetEvaluation:
+    """Candidate data for one coordinate subset J, its indices ascending.
 
-    weights: np.ndarray
-    subsets: np.ndarray
-    weight_sum: np.ndarray
-    harmonic_scale: np.ndarray
-    valid: np.ndarray
-    value: np.ndarray
-
-    def maximizer(self, row: int) -> np.ndarray | None:
-        """Unit coefficient vector attaining h(J) for a valid row, else None."""
-        if not self.valid[row]:
-            return None
-        idx = self.subsets[row]
-        a = np.zeros(self.weights.size)
-        if idx.size == 1:
-            a[idx[0]] = 1.0
-            return a
-        wj = self.weights[idx]
-        beta = float(self.weight_sum[row])
-        gamma = float(self.harmonic_scale[row])
-        excess = idx.size - 2
-        denom = beta - gamma * excess**2
-        a[idx] = np.sqrt(np.maximum(0.0, wj - (gamma * excess) ** 2 / wj) / denom)
-        return a
-
-
-def _evaluate_rows(w: np.ndarray, subsets: np.ndarray) -> _SubsetTable:
-    """beta, gamma, validity and h(J) for every row J of a (count, m) index array.
-
-    Each row of the contiguous (count, m) gather is reduced by the same
-    pairwise summation as a 1-D sum over that subset alone, so every row
-    is bit-identical to evaluating its subset on its own.
+    weight_sum is beta, harmonic_scale is gamma; value is h(J); maximizer
+    is the unit coefficient vector attaining h(J) when the subset is
+    valid, None otherwise.
     """
-    wj = w[subsets]
-    m = subsets.shape[1]
-    beta = wj.sum(axis=1)
-    gamma = 1.0 / np.sum(1.0 / wj, axis=1)
+
+    subset: tuple[int, ...]
+    weight_sum: float
+    harmonic_scale: float
+    valid: bool
+    value: float
+    maximizer: np.ndarray | None
+
+
+def _evaluate(w: np.ndarray, idx: np.ndarray) -> SubsetEvaluation:
+    """beta, gamma, validity, h(J) and maximizer of one ascending index array."""
+    wj = w[idx]
+    m = idx.size
+    beta = float(wj.sum())
+    gamma = float(1.0 / np.sum(1.0 / wj))
     excess = m - 2
     # subsets of size <= 3 satisfy min w_j >= gamma * |m - 2| identically
     # (|m - 2| <= 1 and the harmonic scale never exceeds the smallest
     # weight), so only larger subsets need the literal comparison, which
     # would otherwise be fragile at the singleton equality case
-    if m <= 3:
-        valid = np.ones(len(subsets), dtype=bool)
-    else:
-        valid = wj.min(axis=1) >= gamma * abs(excess)
-    value = np.sqrt(np.maximum(0.0, beta - gamma * excess**2))
-    return _SubsetTable(w, subsets, beta, gamma, valid, value)
-
-
-def _combinations(k: int, m: int) -> np.ndarray:
-    """The rows of combinations(range(k), m), in its lexicographic order."""
-    flat = np.fromiter(
-        chain.from_iterable(combinations(range(k), m)),
-        dtype=np.intp,
-        count=comb(k, m) * m,
-    )
-    return flat.reshape(-1, m)
-
-
-class SubsetEvaluation:
-    """Candidate data for one coordinate subset, read from its table row.
-
-    weight_sum is beta, harmonic_scale is gamma; value is h(J); maximizer
-    is the unit coefficient vector attaining h(J) when the subset is
-    valid, None otherwise, computed on access.
-    """
-
-    __slots__ = ("_table", "_row")
-
-    def __init__(self, table: _SubsetTable, row: int):
-        self._table = table
-        self._row = row
-
-    @property
-    def subset(self) -> tuple[int, ...]:
-        return tuple(self._table.subsets[self._row].tolist())
-
-    @property
-    def weight_sum(self) -> float:
-        return float(self._table.weight_sum[self._row])
-
-    @property
-    def harmonic_scale(self) -> float:
-        return float(self._table.harmonic_scale[self._row])
-
-    @property
-    def valid(self) -> bool:
-        return bool(self._table.valid[self._row])
-
-    @property
-    def value(self) -> float:
-        return float(self._table.value[self._row])
-
-    @property
-    def maximizer(self) -> np.ndarray | None:
-        return self._table.maximizer(self._row)
-
-
-class _Evaluations(Sequence):
-    """Read-only sequence of the evaluated subsets: by size, then lexicographic.
-
-    Items are built on access from the stored tables, so the 2^k - 1 rows
-    of an enumeration cost arrays, not objects.
-    """
-
-    def __init__(self, tables: list[_SubsetTable]):
-        self._tables = tuple(tables)
-        self._ends = list(accumulate(len(t.subsets) for t in self._tables))
-
-    def __len__(self) -> int:
-        return self._ends[-1]
-
-    def __getitem__(self, i: int) -> SubsetEvaluation:
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"subset index {i} out of range")
-        t = bisect_right(self._ends, i)
-        return SubsetEvaluation(self._tables[t], i - (self._ends[t - 1] if t else 0))
-
-    def __iter__(self):
-        for table in self._tables:
-            yield from map(SubsetEvaluation, repeat(table), range(len(table.subsets)))
+    valid = m <= 3 or bool(wj.min() >= gamma * abs(excess))
+    value = float(np.sqrt(max(0.0, beta - gamma * excess**2)))
+    maximizer = None
+    if valid:
+        maximizer = np.zeros(w.size)
+        maximizer[idx] = 1.0  # a singleton's; the formula below is 0/0 there
+        if m > 1:
+            coef = np.maximum(0.0, wj - (gamma * excess) ** 2 / wj)
+            maximizer[idx] = np.sqrt(coef / (beta - gamma * excess**2))
+    return SubsetEvaluation(tuple(idx.tolist()), beta, gamma, valid, value, maximizer)
 
 
 def evaluate_subset(subset, weights) -> SubsetEvaluation:
@@ -222,7 +131,7 @@ def evaluate_subset(subset, weights) -> SubsetEvaluation:
         raise OutOfRangeError(f"subset {idx} has repeated indices")
     if idx[0] < 0 or idx[-1] >= w.size:
         raise OutOfRangeError(f"subset {idx} out of range for {w.size} weights")
-    return SubsetEvaluation(_evaluate_rows(w, np.array([idx], dtype=np.intp)), 0)
+    return _evaluate(w, np.array(idx, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -232,48 +141,51 @@ class SphereSupremum:
     value: float
     argmax_subset: tuple[int, ...]
     maximizer: np.ndarray
-    evaluations: Sequence[SubsetEvaluation]
+    evaluations: tuple[SubsetEvaluation, ...]
 
 
 def sphere_sup(weights) -> SphereSupremum:
     """Exact sup of a -> free_unitary_sum_norm(a * sqrt(w)) over ||a||_2 = 1.
 
-    Enumerates the 2^k - 1 coordinate subsets (k <= 20) unless the full
-    set is already valid, in which case monotonicity of h settles the
-    maximum immediately.  The enumeration is vectorized per subset size:
-    one array evaluation covers all subsets of that size.  Ties pick the
-    lexicographically smallest subset.
+    The supremum is h(P_m) for the best valid heaviest-first prefix P_m,
+    the m largest weights (equal weights taken in index order), so at
+    most k subsets are evaluated.  If the full set is valid it wins at
+    once, by monotonicity of h under inclusion.  Ties between prefixes
+    pick the lexicographically smallest subset.
+
+    Why prefixes suffice.  Write b_i = |a_i|^2 w_i; the norm
+    min_x [2x + sum_i (sqrt(x^2 + b_i) - x)] is invariant under
+    permutations of the b_i and nondecreasing in each.  So moving the
+    mass a_i of a coordinate onto an unused coordinate j with
+    w_j >= w_i keeps ||a|| and never lowers the norm, and repeating such
+    swaps turns any maximizer into one supported on a prefix P_m.  Take
+    the smallest such m.  The subset characterization restricted to the
+    coordinates of P_m gives the supremum as h(J) for a valid J within
+    P_m, attained by a vector supported in J.  If #J < m the same swaps
+    would move that vector onto a shorter prefix, so J = P_m.  Every
+    valid prefix's h(P_m) is attained by a unit vector, so none exceeds
+    the supremum, and the best valid prefix is exact.
     """
     w = validate_weights(weights)
     k = w.size
     if k < 2:
         raise OutOfRangeError("need at least two weights")
-    if k > ENUMERATION_LIMIT:
-        raise CapacityExceededError(
-            f"subset enumeration supported up to k = {ENUMERATION_LIMIT}, got {k}"
-        )
-    full = _evaluate_rows(w, np.arange(k)[None, :])
-    if full.valid[0]:
-        return SphereSupremum(
-            float(full.value[0]), tuple(range(k)), full.maximizer(0), _Evaluations([full])
-        )
-    tables = [_evaluate_rows(w, _combinations(k, m)) for m in range(1, k + 1)]
-    best = None
-    for table in tables:
-        # the first maximum of a size is its lexicographically smallest
-        row = int(np.argmax(np.where(table.valid, table.value, -1.0)))
-        if not table.valid[row]:
-            continue
-        value = float(table.value[row])
-        subset = tuple(table.subsets[row].tolist())
-        if (
-            best is None
-            or value > best[0]
-            or (value == best[0] and subset < best[1])
+    full = _evaluate(w, np.arange(k))
+    if full.valid:
+        return SphereSupremum(full.value, full.subset, full.maximizer, (full,))
+    in_prefix = np.zeros(k, dtype=bool)
+    evaluations = []
+    for j in np.argsort(-w, kind="stable")[:-1]:
+        in_prefix[j] = True
+        evaluations.append(_evaluate(w, np.flatnonzero(in_prefix)))
+    evaluations.append(full)
+    best = evaluations[0]  # a singleton is always valid
+    for ev in evaluations[1:]:
+        if ev.valid and (
+            ev.value > best.value or (ev.value == best.value and ev.subset < best.subset)
         ):
-            best = (value, subset, table, row)
-    value, subset, table, row = best
-    return SphereSupremum(value, subset, table.maximizer(row), _Evaluations(tables))
+            best = ev
+    return SphereSupremum(best.value, best.subset, best.maximizer, tuple(evaluations))
 
 
 def mixed_unitary_norm_limit(weights) -> float:
@@ -368,7 +280,7 @@ def maximize_over_sphere(
     Maximizes a -> free_unitary_sum_norm(a * scale) over the real unit
     sphere from `starts` random starting points, with per-start adaptive
     step sizes and monotone acceptance.  Returns (best value, best a).
-    Deliberately independent of the subset enumeration.
+    Deliberately independent of the prefix scan.
     """
     s = np.asarray(scale, dtype=float).reshape(-1)
     if s.size == 0 or np.any(s < 0.0) or not np.any(s > 0.0):

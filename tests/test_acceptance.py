@@ -108,7 +108,7 @@ def test_03_one_light_family_piecewise_curve():
 
 
 def test_04_supremum_matches_gradient_ascent():
-    """4. subset enumeration agrees with 50-start sphere ascent on 100 random weights"""
+    """4. sphere_sup agrees with 50-start sphere ascent on 100 random weights"""
     with _Budget(60.0):
         rng = stream(2024, 0)
         counts = {2: 34, 3: 33, 4: 33}

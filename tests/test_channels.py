@@ -10,6 +10,7 @@ from channel_limits import (
     EBChannel,
     MixedUnitaryChannel,
     StinespringChannel,
+    haar_unitary,
     hermitian_eigenvalues,
     make_depolarizing,
     make_pinching,
@@ -108,14 +109,15 @@ def test_trivial_environment_is_identity_map():
 
 def test_mixed_unitary_entrywise_formula():
     rng = np.random.default_rng(7)
-    ch = sample_mixed_unitary_channel(3, 6, [0.5, 0.3, 0.2], rng)
+    w = np.array([0.5, 0.3, 0.2])
+    us = [haar_unitary(6, rng) for _ in range(3)]
+    ch = MixedUnitaryChannel(w, us)
     rho = sample_density_matrix(6, rng)
     out = ch.apply_matrix(rho.matrix)
-    w = ch.weights
     for i in range(3):
         for j in range(3):
             direct = np.sqrt(w[i] * w[j]) * np.trace(
-                ch.unitaries[i] @ rho.matrix @ ch.unitaries[j].conj().T
+                us[i] @ rho.matrix @ us[j].conj().T
             )
             assert abs(out[i, j] - direct) <= 1e-12
 
@@ -257,15 +259,16 @@ def test_vector_forms_check_length_and_norm():
 def test_mixed_unitary_kernels_match_direct_index_sums():
     rng = np.random.default_rng(24)
     w = np.array([0.2, 0.3, 0.5])
-    ch = sample_mixed_unitary_channel(3, 4, w, rng)
+    us = [haar_unitary(4, rng) for _ in range(3)]
+    ch = MixedUnitaryChannel(w, us)
     assert isinstance(ch, StinespringChannel)
     blocks = ch.isometry.reshape(3, 4, 4)
     for i in range(3):
-        assert np.array_equal(blocks[i], np.sqrt(w[i]) * ch.unitaries[i])
+        assert np.array_equal(blocks[i], np.sqrt(w[i]) * us[i])
 
     def direct_adjoint(y):
         return sum(
-            np.sqrt(w[i] * w[j]) * y[i, j] * ch.unitaries[i].conj().T @ ch.unitaries[j]
+            np.sqrt(w[i] * w[j]) * y[i, j] * us[i].conj().T @ us[j]
             for i in range(3)
             for j in range(3)
         )
@@ -308,12 +311,10 @@ def test_complement_shares_nonzero_spectrum_on_pure_inputs():
 def test_mixed_unitary_complement_entrywise_form():
     rng = np.random.default_rng(19)
     w = np.array([0.4, 0.6])
-    ch = sample_mixed_unitary_channel(2, 5, w, rng)
-    comp = _complement(ch)
+    us = [haar_unitary(5, rng) for _ in range(2)]
+    comp = _complement(MixedUnitaryChannel(w, us))
     rho = sample_density_matrix(5, rng).matrix
-    expect = sum(
-        wi * u @ rho @ u.conj().T for wi, u in zip(w, ch.unitaries)
-    )
+    expect = sum(wi * u @ rho @ u.conj().T for wi, u in zip(w, us))
     assert np.abs(comp.apply_matrix(rho) - expect).max() <= 1e-12
 
 
@@ -374,5 +375,4 @@ def test_complete_positivity_witness():
 def test_same_seed_reproduces_channel():
     a = sample_mixed_unitary_channel(3, 4, [0.2, 0.3, 0.5], stream(9, 2))
     b = sample_mixed_unitary_channel(3, 4, [0.2, 0.3, 0.5], stream(9, 2))
-    for u, v in zip(a.unitaries, b.unitaries):
-        assert np.array_equal(u, v)
+    assert np.array_equal(a.isometry, b.isometry)

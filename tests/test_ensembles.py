@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from channel_limits import (
+    MixedUnitaryChannel,
     StinespringRegime,
     haar_isometry,
     haar_unitary,
@@ -137,13 +138,15 @@ def test_mixed_unitary_sampler_consistency():
     rng = stream(9, 0)
     w = np.full(3, 1.0 / 3.0)
     ch = sample_mixed_unitary_channel(3, 4, w, rng)
+    # the sampler draws its k unitaries in order from the stream it is given
+    draws = stream(9, 0)
+    us = [haar_unitary(4, draws) for _ in range(3)]
+    assert np.array_equal(ch.isometry, MixedUnitaryChannel(w, us).isometry)
     rho = sample_density_matrix(4, stream(9, 1))
     out = ch.apply(rho)
     assert abs(np.trace(out.matrix) - 1.0) <= 1e-12
     for i in range(3):
-        direct = w[i] * np.trace(
-            ch.unitaries[i] @ rho.matrix @ ch.unitaries[i].conj().T
-        )
+        direct = w[i] * np.trace(us[i] @ rho.matrix @ us[i].conj().T)
         assert abs(out.matrix[i, i] - direct) <= 1e-12
 
 

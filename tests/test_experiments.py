@@ -307,6 +307,15 @@ def test_cli_seed_override_changes_nothing_for_closed_form_sweep(tmp_path):
     assert col_a == col_b
 
 
+def test_cli_large_k_sweep_runs(tmp_path):
+    # a valid config at any k runs: the supremum scans k prefixes only
+    text = "experiment = psistar-sweep\nk = 24\nrGrid = 0.01, 0.3\nmasterSeed = 0\n"
+    out_path = tmp_path / "sweep24.csv"
+    assert cli_main(["run", _write(tmp_path, "k24.cfg", text), "--out", str(out_path)]) == 0
+    rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    assert [float(row[7]) for row in rows] == [23.0, 24.0]
+
+
 def test_cli_config_error_is_exit_one(tmp_path, capsys):
     bad = _write(tmp_path, "bad.cfg", "experiment = norm-limit\n")
     code = cli_main(["run", bad, "--out", "-"])
