@@ -246,6 +246,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("channel: weyl-invariance needs mixed-unitary")
     if cfg.experiment == "stinespring-peak" and cfg.t is None:
         raise ConfigError("t: required for stinespring-peak")
+    # the peak-eigenvalue and norm limits these runs compare against are
+    # defined only for k >= 2
+    if cfg.k < 2 and (
+        cfg.experiment == "stinespring-peak"
+        or (cfg.experiment == "norm-limit" and cfg.channel_kind() != "depolarizing")
+        or (cfg.experiment == "output-cloud" and cfg.channel_kind() == "stinespring")
+    ):
+        raise ConfigError(f"k: {cfg.experiment} needs k >= 2 for its target")
 
 
 def with_overrides(

@@ -353,6 +353,39 @@ def test_cli_unused_channel_keys_are_exit_one(tmp_path, capsys, base, extra):
     assert "not used by" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = stinespring-peak\nk = 1\nt = 0.5\nnGrid = 4\n",
+        "experiment = norm-limit\nk = 1\nweights = 1\nnGrid = 4\n",
+        "experiment = norm-limit\nk = 1\nt = 0.5\nnGrid = 4\n",
+        "experiment = output-cloud\nk = 1\nt = 0.5\nnGrid = 4\nsamples = 3\n",
+    ],
+    ids=["stinespring-peak", "norm-limit-weights", "norm-limit-t", "output-cloud-t"],
+)
+def test_cli_k1_without_a_target_is_exit_one(tmp_path, capsys, text):
+    # the closed-form limit these runs compare against needs k >= 2
+    code = cli_main(["run", _write(tmp_path, "k1.cfg", text), "--out", "-"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "config error: k:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = norm-limit\nk = 1\nchannel = depolarizing\nnGrid = 4\n",
+        "experiment = cm-convergence\nk = 1\nweights = 1\nnGrid = 4\n",
+        "experiment = weyl-invariance\nk = 1\nweights = 1\nnGrid = 4\n",
+        "experiment = output-cloud\nk = 1\nweights = 1\nnGrid = 4\nsamples = 3\n",
+    ],
+    ids=["norm-limit-depolarizing", "cm-convergence", "weyl-invariance", "output-cloud-weights"],
+)
+def test_cli_k1_with_a_target_runs(tmp_path, capsys, text):
+    assert cli_main(["run", _write(tmp_path, "k1.cfg", text), "--out", "-"]) == 0
+    assert capsys.readouterr().out.startswith("experiment,")
+
+
 def test_cli_missing_output_is_exit_one(tmp_path):
     cfg_path = _write(tmp_path, "sweep.cfg", SWEEP_TEXT)
     assert cli_main(["run", cfg_path]) == 1
