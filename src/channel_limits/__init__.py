@@ -51,6 +51,7 @@ from .linalg import (
     hermitian_eigenvalues,
     hermitian_eigs,
     hermitize,
+    normalize_states,
     partial_trace_right,
     von_neumann_entropy,
 )

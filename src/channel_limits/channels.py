@@ -33,8 +33,10 @@ from .linalg import (
     as_complex_matrix,
     hermiticity_defect,
     hermitize,
+    normalize_states,
     partial_trace_right,
     state_matrix,
+    unit_rows,
     unit_vector,
 )
 
@@ -82,16 +84,22 @@ def validate_povm(povm, tol: float = POVM_TOL) -> np.ndarray:
     return np.stack(ms)
 
 
-def _operand(obj, dim: int, what: str, side: str) -> np.ndarray:
-    """A 1-D array as a finite vector, anything else as a matrix; first axis must be `dim`."""
-    if isinstance(obj, DensityMatrix) or np.ndim(obj) != 1:
+def _operand(obj, dim: int, what: str, side: str, stacked: bool = False) -> np.ndarray:
+    """A finite vector, a (b, dim) stack of them when `stacked`, else a matrix.
+
+    A 1-D array is a vector and anything else a matrix, unless `stacked`;
+    the last axis must be `dim`.
+    """
+    if not stacked and (isinstance(obj, DensityMatrix) or np.ndim(obj) != 1):
         a = state_matrix(obj)
     else:
         a = np.asarray(obj, dtype=np.complex128)
+        if stacked and a.ndim != 2:
+            raise DimensionMismatchError(f"expected a stack of vectors, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidDensityMatrixError("vector has non-finite entries")
-    if a.shape[0] != dim:
-        raise DimensionMismatchError(f"{what} dim {a.shape[0]} != channel {side} dim {dim}")
+    if a.shape[-1] != dim:
+        raise DimensionMismatchError(f"{what} dim {a.shape[-1]} != channel {side} dim {dim}")
     return a
 
 
@@ -109,15 +117,21 @@ class Channel:
         """Action of the adjoint map on an arbitrary output-side matrix."""
         raise NotImplementedError
 
-    def apply(self, state) -> DensityMatrix:
+    def apply(self, state, *, stacked: bool = False) -> DensityMatrix | np.ndarray:
         """Apply to a state, returning a validated state.
 
         Accepts a DensityMatrix, a raw matrix, or a unit vector v for the
         pure state vv*, which goes through `apply_pure` without forming
         the projector.  The output is hermitized and has eigenvalue dust
         below 1e-10 clipped before renormalizing.
+
+        With `stacked=True`, `state` is a (b, N) array of unit vectors, one
+        pure input per row, and the result is the (b, k, k) array of their
+        outputs, each checked and normalized as a single vector's would be.
         """
-        x = _operand(state, self.input_dim, "state", "input")
+        x = _operand(state, self.input_dim, "state", "input", stacked)
+        if stacked:
+            return normalize_states(self.apply_pure(unit_rows(x)))
         if x.ndim == 1:
             return DensityMatrix.normalized(self.apply_pure(unit_vector(x)))
         return DensityMatrix.normalized(self.apply_matrix(x))
@@ -133,9 +147,15 @@ class Channel:
             return self.adjoint_rank_one(y)
         return hermitize(self.adjoint_matrix(y))
 
-    def apply_pure(self, vector: np.ndarray) -> np.ndarray:
-        """Output matrix for a pure input, without forming the input projector."""
-        v = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    def apply_pure(self, vectors: np.ndarray) -> np.ndarray:
+        """Output matrix for a pure input vector, or (b, k, k) outputs for a (b, N) stack.
+
+        This generic form maps the projector of each vector in turn; the
+        kinds the output cloud samples override it with one stacked pass.
+        """
+        v = np.asarray(vectors, dtype=np.complex128)
+        if v.ndim == 2:
+            return np.stack([self.apply_pure(row) for row in v])
         return self.apply_matrix(np.outer(v, v.conj()))
 
     def adjoint_rank_one(self, vector: np.ndarray) -> np.ndarray:
@@ -153,9 +173,12 @@ class StinespringChannel(Channel):
         Must satisfy V* V = I within 1e-10.
     output_dim, env_dim : int
         Factor dimensions of the dilation space, left factor major.
+
+    `_validated=True` skips the V* V check, for samplers whose isometry is
+    exact by construction.
     """
 
-    def __init__(self, isometry, output_dim: int, env_dim: int):
+    def __init__(self, isometry, output_dim: int, env_dim: int, *, _validated: bool = False):
         v = np.asarray(isometry, dtype=np.complex128)
         if v.ndim != 2 or v.shape[0] != output_dim * env_dim:
             raise DimensionMismatchError(
@@ -163,7 +186,8 @@ class StinespringChannel(Channel):
             )
         if v.shape[1] > v.shape[0]:
             raise DimensionMismatchError("isometry must not shrink row space")
-        _check_isometry(v)
+        if not _validated:
+            _check_isometry(v)
         self.isometry = v
         self.output_dim = int(output_dim)
         self.env_dim = int(env_dim)
@@ -184,10 +208,13 @@ class StinespringChannel(Channel):
         )
         return self.isometry.conj().T @ w
 
-    def apply_pure(self, vector: np.ndarray) -> np.ndarray:
-        v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        y = (self.isometry @ v).reshape(self.output_dim, self.env_dim)
-        return y @ y.conj().T
+    def apply_pure(self, vectors: np.ndarray) -> np.ndarray:
+        # a broadcast matmul runs one matrix-vector product per row, the
+        # same product a single vector gets (a single GEMM would not be)
+        v = np.asarray(vectors, dtype=np.complex128)
+        y = np.matmul(self.isometry, v[..., None])
+        y = y.reshape(*v.shape[:-1], self.output_dim, self.env_dim)
+        return y @ y.conj().swapaxes(-1, -2)
 
     def adjoint_rank_one(self, vector: np.ndarray) -> np.ndarray:
         # V*(aa* (x) I)V = B*B for B the a-contraction of the isometry blocks
@@ -203,10 +230,11 @@ class MixedUnitaryChannel(StinespringChannel):
     Stores only the Stinespring isometry stacking sqrt(w_i) U_i as blocks;
     the weights (strictly positive, summing to 1) are checked first.  Each
     U_i is checked to be unitary on its own: the stacked isometry alone
-    would only certify sum_i w_i U_i* U_i = I.
+    would only certify sum_i w_i U_i* U_i = I.  `_validated=True` skips
+    those checks, for samplers whose unitaries are exact by construction.
     """
 
-    def __init__(self, weights, unitaries):
+    def __init__(self, weights, unitaries, *, _validated: bool = False):
         w = validate_weights(weights)
         us = [as_complex_matrix(u) for u in unitaries]
         if len(us) != w.size:
@@ -215,7 +243,8 @@ class MixedUnitaryChannel(StinespringChannel):
         for u in us:
             if u.shape[0] != n:
                 raise DimensionMismatchError("unitaries must share a dimension")
-            _check_isometry(u)
+            if not _validated:
+                _check_isometry(u)
         blocks = np.stack(us)
         blocks *= np.sqrt(w)[:, None, None]
         self.output_dim = int(w.size)
@@ -263,6 +292,12 @@ class DepolarizingChannel(Channel):
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
         return np.trace(x) / self.output_dim * np.eye(self.output_dim, dtype=np.complex128)
+
+    def apply_pure(self, vectors: np.ndarray) -> np.ndarray:
+        # Tr[vv*] summed as the trace sums the projector's diagonal v_i conj(v_i)
+        v = np.asarray(vectors, dtype=np.complex128)
+        trace = (v * v.conj()).sum(axis=-1)[..., None, None]
+        return trace / self.output_dim * np.eye(self.output_dim, dtype=np.complex128)
 
     def adjoint_matrix(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.complex128)

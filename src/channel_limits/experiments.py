@@ -177,15 +177,39 @@ def _run_eb_tensor(cfg, trial, n):
     return _record(cfg, trial, n, "reconstruction", (residual,), 0.0)
 
 
+# bytes of input vectors and their images that one block of the output
+# cloud holds at once: 63 rows at n = 200, k = 2, N = 120
+_CLOUD_BLOCK_BYTES = 1 << 19
+
+
+def _cloud_block_rows(channel: Channel, env_dim: int) -> int:
+    """Rows per cloud block: each holds an input and its image in C^k (x) C^env."""
+    row_bytes = 16 * (channel.input_dim + channel.output_dim * env_dim)
+    return max(1, _CLOUD_BLOCK_BYTES // row_bytes)
+
+
+def _cloud_outputs(channel: Channel, samples: int, env_dim: int, rng) -> list[np.ndarray]:
+    """Outputs of `samples` uniform pure inputs, as (b, k, k) stacks in draw order.
+
+    Each block draws, maps and normalizes its rows in one pass; row i is
+    the state `channel.apply(sample_pure_state(N, rng))` would give as the
+    i-th single draw, bit for bit.
+    """
+    rows = _cloud_block_rows(channel, env_dim)
+    return [
+        channel.apply(
+            sample_pure_state(channel.input_dim, rng, min(rows, samples - start)),
+            stacked=True,
+        )
+        for start in range(0, samples, rows)
+    ]
+
+
 def _run_output_cloud(cfg, trial, n):
     rng = stream(cfg.master_seed, trial)
     channel = _build_channel(cfg, n, rng)
     ascent = norm_ascent(channel, rng, cfg.restarts, cfg.iter_cap)
-    cloud = list(ascent.outputs)
-    for _ in range(cfg.samples):
-        v = sample_pure_state(channel.input_dim, rng)
-        cloud.append(channel.apply(v))
-    smin = estimate_smin(cloud)
+    smin = estimate_smin([*ascent.outputs, *_cloud_outputs(channel, cfg.samples, n, rng)])
     holevo = holevo_from_smin(cfg.k, smin)
     kind = cfg.channel_kind()
     target = None

@@ -243,11 +243,15 @@ def weyl_twirl(observable) -> np.ndarray:
 
 
 def estimate_smin(outputs) -> float:
-    """Smallest von Neumann entropy across a cloud of output states."""
-    entropies = [von_neumann_entropy(o) for o in outputs]
-    if not entropies:
+    """Smallest von Neumann entropy across a cloud of output states.
+
+    Each item is a state or a (b, n, n) stack of states, whose entropies
+    are taken in one stacked call.
+    """
+    entropies = [np.ravel(von_neumann_entropy(o)) for o in outputs]
+    if not any(e.size for e in entropies):
         raise EmptySampleError("no outputs to scan")
-    return min(entropies)
+    return float(np.concatenate(entropies).min())
 
 
 def holevo_from_smin(dim: int, smin: float) -> float:

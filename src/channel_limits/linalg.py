@@ -28,38 +28,68 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a finite square complex matrix."""
+def as_complex_matrix(m, *, stack: bool = False) -> np.ndarray:
+    """Coerce to a finite square complex matrix, or with `stack` a (..., n, n) stack."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
+        what = "a stack of square matrices" if stack else "a square matrix"
+        raise DimensionMismatchError(f"expected {what}, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise InvalidDensityMatrixError("matrix has non-finite entries")
     return a
 
 
-def unit_vector(vector) -> np.ndarray:
-    """Flatten to a complex vector whose norm is 1 within 1e-12."""
-    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-12:
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis of a complex array.
+
+    Each norm is the square root of re.re + im.im with both dots taken by
+    BLAS, the form `np.linalg.norm` uses for one complex vector, so a row of
+    a stack gets the same double as that vector alone.
+    """
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
+def unit_rows(vectors) -> np.ndarray:
+    """Coerce to a complex array whose rows (last axis) have norm 1 within 1e-12."""
+    v = np.asarray(vectors, dtype=np.complex128)
+    norms = row_norms(v)
+    bad = np.abs(norms - 1.0) > 1e-12
+    if np.any(bad):
+        nrm = float(norms[bad][0])
         raise NotUnitVectorError(f"norm {nrm!r} differs from 1 beyond 1e-12")
     return v
 
 
+def unit_vector(vector) -> np.ndarray:
+    """Flatten to a complex vector whose norm is 1 within 1e-12."""
+    return unit_rows(np.asarray(vector, dtype=np.complex128).reshape(-1))
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-norm distance from m to its own adjoint."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """Max-norm distance from m to its own adjoint; over a stack, the largest."""
+    return float(np.max(np.abs(m - _adjoint(m)))) if m.size else 0.0
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m*) / 2; exactly Hermitian, and idempotent bit for bit."""
-    return (m + m.conj().T) / 2.0
+    """Hermitian part (m + m*) / 2 of a matrix or of each matrix in a stack.
+
+    Exactly Hermitian, and idempotent bit for bit.
+    """
+    return (m + _adjoint(m)) / 2.0
 
 
-def _hermitian_part(m, tol: float = HERMITIAN_TOL, error=NonHermitianError) -> np.ndarray:
-    """Coerce to a square complex matrix, raise `error` beyond `tol`, hermitize."""
-    a = state_matrix(m)
+def _hermitian_part(
+    m, tol: float = HERMITIAN_TOL, error=NonHermitianError, *, stack: bool = False
+) -> np.ndarray:
+    """Coerce to a square complex matrix (or stack), raise `error` beyond `tol`, hermitize."""
+    a = state_matrix(m, stack=stack)
     defect = hermiticity_defect(a)
     if defect > tol:
         raise error(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
@@ -165,31 +195,21 @@ class DensityMatrix:
             tr = complex(np.trace(a))
             if abs(tr - 1.0) > TRACE_TOL:
                 raise InvalidDensityMatrixError(f"trace {tr!r} differs from 1 beyond 1e-12")
-            low = float(np.linalg.eigvalsh(h)[0])
-            if low < EIGENVALUE_FLOOR:
-                raise InvalidDensityMatrixError(
-                    f"minimum eigenvalue {low:.3e} below {EIGENVALUE_FLOOR:.1e}"
-                )
+            _floor_check(np.linalg.eigvalsh(h), "minimum eigenvalue")
         self.matrix = a
         self.dim = a.shape[0]
 
     @classmethod
     def normalized(cls, matrix) -> "DensityMatrix":
-        """Build a state from near-valid input: hermitize, clip eigenvalue dust, rescale."""
-        h = _hermitian_part(matrix, HERMITIAN_TOL, InvalidDensityMatrixError)
-        vals, vecs = np.linalg.eigh(h)
-        if vals[0] < EIGENVALUE_FLOOR:
-            raise InvalidDensityMatrixError(
-                f"minimum eigenvalue {vals[0]:.3e} below {EIGENVALUE_FLOOR:.1e}"
-            )
-        vals = np.clip(vals, 0.0, None)
-        total = float(vals.sum())
-        if total <= 0.0:
-            raise InvalidDensityMatrixError("zero trace after clipping")
-        vals /= total
-        out = (vecs * vals) @ vecs.conj().T
+        """Build a state from near-valid input: hermitize, clip eigenvalue dust, rescale.
+
+        The one-matrix case of `normalize_states`.
+        """
+        out = normalize_states(matrix)
+        if out.ndim != 2:
+            raise DimensionMismatchError(f"expected a square matrix, got shape {out.shape}")
         obj = cls.__new__(cls)
-        obj.matrix = hermitize(out)
+        obj.matrix = out
         obj.dim = out.shape[0]
         return obj
 
@@ -217,22 +237,61 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def state_matrix(state) -> np.ndarray:
-    """Accept a DensityMatrix or a raw array and return the underlying matrix."""
+def state_matrix(state, *, stack: bool = False) -> np.ndarray:
+    """Accept a DensityMatrix or a raw array and return the underlying matrix.
+
+    With `stack`, a raw array may also be a (..., n, n) stack of matrices.
+    """
     if isinstance(state, DensityMatrix):
         return state.matrix
-    return as_complex_matrix(state)
+    return as_complex_matrix(state, stack=stack)
 
 
-def _state_spectrum(state) -> np.ndarray:
-    vals = np.linalg.eigvalsh(_hermitian_part(state))
-    if vals[0] < EIGENVALUE_FLOOR:
-        raise InvalidDensityMatrixError(f"negative eigenvalue {vals[0]:.3e}")
-    return np.clip(vals, 0.0, None)
+def _floor_check(vals: np.ndarray, what: str) -> None:
+    """Raise when an ascending spectrum, or any in a stack, dips below the floor."""
+    low = float(np.min(vals[..., 0])) if vals.size else 0.0
+    if low < EIGENVALUE_FLOOR:
+        raise InvalidDensityMatrixError(f"{what} {low:.3e} below {EIGENVALUE_FLOOR:.1e}")
 
 
-def von_neumann_entropy(state) -> float:
-    """Entropy -sum lambda ln lambda of a state, in nats."""
-    vals = _state_spectrum(state)
-    pos = vals[vals > 0.0]
-    return float(max(0.0, -np.sum(pos * np.log(pos))))
+def normalize_states(matrices) -> np.ndarray:
+    """Hermitize, clip eigenvalue dust and rescale a matrix or each in a (..., n, n) stack.
+
+    Raises InvalidDensityMatrixError for entries that are not finite, for
+    a matrix further than 1e-10 from Hermitian, for an eigenvalue below
+    -1e-10 and for a zero trace after clipping.  The stacked `eigh` and
+    products treat every matrix as they treat it alone, so each result is
+    the one `DensityMatrix.normalized` gives for that matrix, bit for bit.
+    """
+    h = _hermitian_part(matrices, HERMITIAN_TOL, InvalidDensityMatrixError, stack=True)
+    vals, vecs = np.linalg.eigh(h)
+    _floor_check(vals, "minimum eigenvalue")
+    vals = np.clip(vals, 0.0, None)
+    total = vals.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
+        raise InvalidDensityMatrixError("zero trace after clipping")
+    vals /= total
+    return hermitize((vecs * vals[..., None, :]) @ _adjoint(vecs))
+
+
+def von_neumann_entropy(states):
+    """Entropy -sum lambda ln lambda in nats, of one state or of each in a stack.
+
+    One state (a DensityMatrix or a matrix) gives a float; a (..., n, n)
+    stack gives an array of shape (...).
+    """
+    vals = np.linalg.eigvalsh(_hermitian_part(states, stack=True))
+    _floor_check(vals, "negative eigenvalue")
+    flat = np.clip(vals, 0.0, None).reshape(-1, vals.shape[-1])
+    # eigvalsh sorts ascending, so each row's positive values are a suffix.
+    # Rows are summed in groups that share the suffix start: padding a row
+    # with zero terms would regroup numpy's pairwise sum from 8 terms on and
+    # move the last bit, against the one-state sum over the positives alone.
+    start = np.count_nonzero(flat <= 0.0, axis=-1)
+    sums = np.empty(flat.shape[0])
+    for s in set(start.tolist()):
+        rows = start == s
+        pos = flat[rows, s:]
+        sums[rows] = np.sum(pos * np.log(pos), axis=-1)
+    entropy = np.maximum(0.0, -sums).reshape(vals.shape[:-1])
+    return float(entropy) if entropy.ndim == 0 else entropy

@@ -77,6 +77,17 @@ def test_mixed_unitary_rejects_non_unitary():
         MixedUnitaryChannel([0.5, 0.5], blocks)
 
 
+def test_constructors_reject_tampered_haar_draws():
+    rng = stream(17, 0)
+    us = [haar_unitary(6, rng) for _ in range(2)]
+    us[1][2, 3] += 1e-8
+    with pytest.raises(NotUnitaryError):
+        MixedUnitaryChannel([0.5, 0.5], us)
+    v = np.vstack(us)[:, :4] / np.sqrt(2.0)
+    with pytest.raises(NotUnitaryError):
+        StinespringChannel(v, 2, 6)
+
+
 def test_stinespring_rejects_non_isometry():
     with pytest.raises(NotUnitaryError):
         StinespringChannel(np.ones((4, 2)), 2, 2)
@@ -237,6 +248,41 @@ def test_vector_forms_match_matrix_forms(kind):
         lifted = ch.adjoint(a)
         assert np.abs(lifted - ch.adjoint(np.outer(a, a.conj()))).max() <= 1e-14
         assert np.array_equal(lifted, lifted.conj().T)
+
+
+@pytest.mark.parametrize("kind", ["stinespring", "mixed-unitary", "eb", "depolarizing"])
+def test_stacked_vectors_match_single_vectors_bit_for_bit(kind):
+    rng = np.random.default_rng(33)
+    ch = _sample_channel(kind, rng)
+    vs = sample_pure_state(ch.input_dim, rng, 9)
+    pure = ch.apply_pure(vs)
+    states = ch.apply(vs, stacked=True)
+    assert pure.shape == states.shape == (9, ch.output_dim, ch.output_dim)
+    for v, out, state in zip(vs, pure, states):
+        assert np.array_equal(out, ch.apply_pure(v))
+        assert np.array_equal(state, ch.apply(v).matrix)
+    if kind == "depolarizing":
+        v = vs[0]
+        reference = np.trace(np.outer(v, v.conj())) / 3 * np.eye(3, dtype=np.complex128)
+        assert np.array_equal(pure[0], reference)
+
+
+def test_stacked_vectors_are_checked_row_by_row():
+    rng = np.random.default_rng(34)
+    ch = sample_stinespring_channel(3, 4, 7, rng)
+    vs = sample_pure_state(ch.input_dim, rng, 4)
+    bad = vs.copy()
+    bad[2] *= 1.0 + 1e-9
+    with pytest.raises(NotUnitVectorError):
+        ch.apply(bad, stacked=True)
+    bad = vs.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(InvalidDensityMatrixError):
+        ch.apply(bad, stacked=True)
+    with pytest.raises(DimensionMismatchError):
+        ch.apply(vs[:, 1:], stacked=True)
+    with pytest.raises(DimensionMismatchError):
+        ch.apply(vs[0], stacked=True)
 
 
 def test_vector_forms_check_length_and_norm():

@@ -6,6 +6,7 @@ import pytest
 
 from channel_limits import (
     MixedUnitaryChannel,
+    StinespringChannel,
     StinespringRegime,
     haar_isometry,
     haar_unitary,
@@ -117,6 +118,30 @@ def test_pure_state_norm_and_scalar_case():
     assert abs(abs(z[0]) - 1.0) <= 1e-14
 
 
+def _single_draw(dim, rng):
+    # one draw as the sampler made it before it drew stacks
+    re = rng.standard_normal((dim, 1))
+    im = rng.standard_normal((dim, 1))
+    v = ((re + 1j * im) / np.sqrt(2.0)).reshape(-1)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("count", [1, 7, 1000])
+@pytest.mark.parametrize("dim", [1, 2, 120])
+def test_stacked_pure_states_are_the_single_draws(dim, count):
+    stacked_rng, single_rng, reference_rng = stream(14, dim), stream(14, dim), stream(14, dim)
+    stack = sample_pure_state(dim, stacked_rng, count)
+    singles = np.array([sample_pure_state(dim, single_rng) for _ in range(count)])
+    reference = np.array([_single_draw(dim, reference_rng) for _ in range(count)])
+    assert stack.shape == (count, dim)
+    assert np.array_equal(stack, singles)
+    assert np.array_equal(stack, reference)
+    # the generator is left where the single draws leave it
+    after = stacked_rng.standard_normal(3)
+    assert np.array_equal(after, single_rng.standard_normal(3))
+    assert np.array_equal(after, reference_rng.standard_normal(3))
+
+
 def test_pure_state_coordinate_moment():
     # E|x_1|^2 = 1/dim on the uniform sphere; 4000 samples at dim 8
     rng = stream(13, 0)
@@ -148,6 +173,25 @@ def test_mixed_unitary_sampler_consistency():
     for i in range(3):
         direct = w[i] * np.trace(us[i] @ rho.matrix @ us[i].conj().T)
         assert abs(out.matrix[i, i] - direct) <= 1e-12
+
+
+@pytest.mark.parametrize("k, n", [(3, 800)])
+def test_sampled_unitaries_meet_the_isometry_tolerance(k, n):
+    # the sampler skips the unitarity checks; the public constructor, which
+    # makes them, accepts the same draws and builds the same isometry
+    w = np.full(k, 1.0 / k)
+    ch = sample_mixed_unitary_channel(k, n, w, stream(15, n))
+    draws = stream(15, n)
+    us = [haar_unitary(n, draws) for _ in range(k)]
+    assert np.array_equal(ch.isometry, MixedUnitaryChannel(w, us).isometry)
+
+
+@pytest.mark.parametrize("k, env, cols", [(2, 400, 240)])
+def test_sampled_isometries_meet_the_isometry_tolerance(k, env, cols):
+    # the 800 x 240 isometry of the ascent benchmark
+    ch = sample_stinespring_channel(k, env, cols, stream(16, cols))
+    v = haar_isometry(k * env, cols, stream(16, cols))
+    assert np.array_equal(ch.isometry, StinespringChannel(v, k, env).isometry)
 
 
 def test_stinespring_sampler_shapes():

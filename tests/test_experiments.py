@@ -17,16 +17,28 @@ from channel_limits.config import (
     validate_config,
     with_overrides,
 )
-from channel_limits.ensembles import sample_mixed_unitary_channel, stream
-from channel_limits.errors import ConfigError, EmptyResultsError
+from channel_limits import experiments
+from channel_limits.channels import make_depolarizing
+from channel_limits.ensembles import (
+    sample_mixed_unitary_channel,
+    sample_pure_state,
+    sample_stinespring_channel,
+    stream,
+)
+from channel_limits.errors import (
+    ConfigError,
+    EmptyResultsError,
+    InvalidDensityMatrixError,
+    NotUnitVectorError,
+)
 from channel_limits.experiments import (
     emit_results,
     render_csv,
     render_json,
     run_experiment,
 )
-from channel_limits.geometry import probe_top_eigenvalues
-from channel_limits.linalg import DensityMatrix
+from channel_limits.geometry import estimate_smin, probe_top_eigenvalues
+from channel_limits.linalg import DensityMatrix, von_neumann_entropy
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -407,6 +419,71 @@ def test_cli_module_invocation(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("experiment,")
     assert "[channel-limits]" in proc.stderr
+
+
+# --------------------------------------------------------------- output cloud
+
+CLOUD_N = 200
+
+
+def _cloud_channel(kind, rng):
+    # the channels output-cloud builds, at the benchmark's n = 200, k = 2
+    if kind == "stinespring":
+        return sample_stinespring_channel(2, CLOUD_N, 120, rng)
+    if kind == "mixed-unitary":
+        return sample_mixed_unitary_channel(2, CLOUD_N, [0.3, 0.7], rng)
+    return make_depolarizing(2, CLOUD_N)
+
+
+def _per_sample_cloud(channel, samples, rng):
+    # the output-cloud loop as it stood before the blocked pass
+    return [channel.apply(sample_pure_state(channel.input_dim, rng)) for _ in range(samples)]
+
+
+@pytest.mark.parametrize("offset", ["1", "block-1", "block", "block+1", "1000"])
+@pytest.mark.parametrize("kind", ["stinespring", "mixed-unitary", "depolarizing"])
+def test_cloud_pass_matches_the_per_sample_loop_bit_for_bit(kind, offset):
+    channel = _cloud_channel(kind, stream(50, 0))
+    block = experiments._cloud_block_rows(channel, CLOUD_N)
+    assert 40 <= block <= 80
+    samples = {"1": 1, "block-1": block - 1, "block": block,
+               "block+1": block + 1, "1000": 1000}[offset]
+    loop_rng, pass_rng = stream(50, 1), stream(50, 1)
+    reference = _per_sample_cloud(channel, samples, loop_rng)
+    blocks = experiments._cloud_outputs(channel, samples, CLOUD_N, pass_rng)
+    assert [len(b) for b in blocks][:1] == [min(block, samples)]
+    states = np.concatenate(blocks)
+    assert np.array_equal(states, np.array([s.matrix for s in reference]))
+    entropies = np.concatenate([von_neumann_entropy(b) for b in blocks])
+    assert np.array_equal(entropies, [von_neumann_entropy(s) for s in reference])
+    assert estimate_smin(blocks) == estimate_smin(reference) == min(entropies)
+    assert pass_rng.standard_normal() == loop_rng.standard_normal()
+
+
+def test_cloud_pass_keeps_the_unit_norm_and_hermiticity_checks(monkeypatch):
+    channel = _cloud_channel("stinespring", stream(51, 0))
+    draw = experiments.sample_pure_state
+
+    def stretched(dim, rng, count=None):
+        rows = draw(dim, rng, count)
+        rows[-1] *= 1.0 + 1e-9
+        return rows
+
+    monkeypatch.setattr(experiments, "sample_pure_state", stretched)
+    with pytest.raises(NotUnitVectorError):
+        experiments._cloud_outputs(channel, 100, CLOUD_N, stream(51, 1))
+    monkeypatch.undo()
+
+    apply_pure = channel.apply_pure
+
+    def skewed(vectors):
+        out = apply_pure(vectors)
+        out[-1, 0, 1] += 1e-9
+        return out
+
+    monkeypatch.setattr(channel, "apply_pure", skewed)
+    with pytest.raises(InvalidDensityMatrixError):
+        experiments._cloud_outputs(channel, 100, CLOUD_N, stream(51, 1))
 
 
 # ---------------------------------------------------------------- determinism

@@ -11,16 +11,20 @@ from channel_limits import (
     hermitian_eigenvalues,
     hermitian_eigs,
     hermitize,
+    normalize_states,
     partial_trace_right,
     sample_pure_state,
     stream,
     von_neumann_entropy,
 )
 from channel_limits.errors import (
+    DimensionMismatchError,
     InvalidDensityMatrixError,
     NoConvergenceError,
     NonHermitianError,
+    NotUnitVectorError,
 )
+from channel_limits.linalg import row_norms, unit_rows
 
 
 def _random_hermitian(dim, rng):
@@ -235,3 +239,93 @@ def test_entropy_bounds(seed, dim):
     state = DensityMatrix.normalized(g @ g.conj().T)
     s = von_neumann_entropy(state)
     assert -1e-12 <= s <= np.log(dim) + 1e-12
+
+
+# ------------------------------------------------------------------- stacks
+
+
+def _one_matrix_normalized(m):
+    # the one-matrix normalization as it stood before it became stack-aware
+    h = (m + m.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh(h)
+    vals = np.clip(vals, 0.0, None)
+    vals /= float(vals.sum())
+    out = (vecs * vals) @ vecs.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def _one_matrix_entropy(m):
+    # the one-state entropy as it stood before it became stack-aware
+    vals = np.clip(np.linalg.eigvalsh((m + m.conj().T) / 2.0), 0.0, None)
+    pos = vals[vals > 0.0]
+    return float(max(0.0, -np.sum(pos * np.log(pos))))
+
+
+def _mixed_rank_stack(dim, count, rng):
+    # states of every rank, so rows differ in how many eigenvalues clip to 0
+    stack = []
+    for i in range(count):
+        rank = 1 + i % dim
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        m = g @ g.conj().T
+        stack.append(m / np.trace(m).real)
+    return np.array(stack)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9, 16])
+def test_stacks_match_the_one_matrix_formulas_bit_for_bit(dim):
+    # from 8 terms on numpy sums pairwise, so a row that summed zero terms
+    # next to its positive ones would move in the last bit
+    stack = _mixed_rank_stack(dim, 60, np.random.default_rng(dim))
+    states = normalize_states(stack)
+    entropies = von_neumann_entropy(states)
+    assert states.shape == stack.shape and entropies.shape == (60,)
+    for m, state, entropy in zip(stack, states, entropies):
+        assert np.array_equal(state, _one_matrix_normalized(m))
+        assert np.array_equal(DensityMatrix.normalized(m).matrix, state)
+        assert entropy == _one_matrix_entropy(state) == von_neumann_entropy(state)
+    assert von_neumann_entropy(states[:0]).shape == (0,)
+
+
+def test_stack_checks_reach_every_entry():
+    stack = _mixed_rank_stack(3, 5, np.random.default_rng(40))
+    with pytest.raises(DimensionMismatchError):
+        DensityMatrix.normalized(stack)
+    skewed = stack.copy()
+    skewed[3, 0, 1] += 1e-9
+    with pytest.raises(InvalidDensityMatrixError):
+        normalize_states(skewed)
+    with pytest.raises(NonHermitianError):
+        von_neumann_entropy(skewed)
+    negative = stack.copy()
+    negative[4] = np.diag([1.0 + 1e-9, 0.0, -1e-9])
+    with pytest.raises(InvalidDensityMatrixError):
+        normalize_states(negative)
+    with pytest.raises(InvalidDensityMatrixError):
+        von_neumann_entropy(negative)
+    with pytest.raises(InvalidDensityMatrixError):
+        normalize_states(np.zeros((2, 3, 3)))
+    dirty = stack.copy()
+    dirty[1, 2, 2] = np.nan
+    with pytest.raises(InvalidDensityMatrixError):
+        normalize_states(dirty)
+
+
+def test_row_norms_match_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for dim in (1, 2, 120):
+        rows = rng.standard_normal((9, dim)) + 1j * rng.standard_normal((9, dim))
+        norms = row_norms(rows)
+        assert norms.shape == (9,)
+        assert all(norms[i] == np.linalg.norm(rows[i]) for i in range(9))
+        assert row_norms(rows[0]) == np.linalg.norm(rows[0])
+
+
+def test_unit_rows_reject_any_non_unit_row():
+    rng = np.random.default_rng(42)
+    rows = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    assert unit_rows(rows) is not None
+    rows[2] *= 1.0 + 1e-9
+    with pytest.raises(NotUnitVectorError):
+        unit_rows(rows)
