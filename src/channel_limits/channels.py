@@ -37,7 +37,6 @@ from .linalg import (
     partial_trace_right,
     state_matrix,
     unit_rows,
-    unit_vector,
 )
 
 ISOMETRY_TOL = 1e-10
@@ -64,7 +63,7 @@ def _check_isometry(v: np.ndarray) -> None:
         raise NotUnitaryError(f"isometry defect {defect:.3e} exceeds {ISOMETRY_TOL:.1e}")
 
 
-def validate_povm(povm, tol: float = POVM_TOL) -> np.ndarray:
+def validate_povm(povm) -> np.ndarray:
     """Check Hermitian positive elements summing to the identity; stack them."""
     ms = [as_complex_matrix(m) for m in povm]
     if not ms:
@@ -74,30 +73,29 @@ def validate_povm(povm, tol: float = POVM_TOL) -> np.ndarray:
     for m in ms:
         if m.shape[0] != n:
             raise DimensionMismatchError("POVM elements must share a dimension")
-        if hermiticity_defect(m) > tol:
+        if hermiticity_defect(m) > POVM_TOL:
             raise InvalidPOVMError("POVM element is not Hermitian")
-        if float(np.linalg.eigvalsh(hermitize(m))[0]) < -tol:
+        if float(np.linalg.eigvalsh(hermitize(m))[0]) < -POVM_TOL:
             raise InvalidPOVMError("POVM element is not positive semidefinite")
         total += m
-    if float(np.max(np.abs(total - np.eye(n)))) > tol:
+    if float(np.max(np.abs(total - np.eye(n)))) > POVM_TOL:
         raise InvalidPOVMError("POVM elements do not sum to the identity")
     return np.stack(ms)
 
 
-def _operand(obj, dim: int, what: str, side: str, stacked: bool = False) -> np.ndarray:
-    """A finite vector, a (b, dim) stack of them when `stacked`, else a matrix.
+def _operand(obj, dim: int, what: str, side: str) -> np.ndarray:
+    """A finite vector or (b, dim) stack of vectors, or a DensityMatrix's matrix.
 
-    A 1-D array is a vector and anything else a matrix, unless `stacked`;
-    the last axis must be `dim`.
+    The last axis must be `dim`.
     """
-    if not stacked and (isinstance(obj, DensityMatrix) or np.ndim(obj) != 1):
-        a = state_matrix(obj)
+    if isinstance(obj, DensityMatrix):
+        a = obj.matrix
     else:
         a = np.asarray(obj, dtype=np.complex128)
-        if stacked and a.ndim != 2:
-            raise DimensionMismatchError(f"expected a stack of vectors, got shape {a.shape}")
+        if a.ndim not in (1, 2):
+            raise DimensionMismatchError(f"expected one or two axes, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
-            raise InvalidDensityMatrixError("vector has non-finite entries")
+            raise InvalidDensityMatrixError(f"{what} has non-finite entries")
     if a.shape[-1] != dim:
         raise DimensionMismatchError(f"{what} dim {a.shape[-1]} != channel {side} dim {dim}")
     return a
@@ -117,35 +115,34 @@ class Channel:
         """Action of the adjoint map on an arbitrary output-side matrix."""
         raise NotImplementedError
 
-    def apply(self, state, *, stacked: bool = False) -> DensityMatrix | np.ndarray:
-        """Apply to a state, returning a validated state.
+    def apply(self, state) -> DensityMatrix | np.ndarray:
+        """Apply to a mixed state or to unit vectors, returning validated states.
 
-        Accepts a DensityMatrix, a raw matrix, or a unit vector v for the
-        pure state vv*, which goes through `apply_pure` without forming
-        the projector.  The output is hermitized and has eigenvalue dust
-        below 1e-10 clipped before renormalizing.
-
-        With `stacked=True`, `state` is a (b, N) array of unit vectors, one
-        pure input per row, and the result is the (b, k, k) array of their
-        outputs, each checked and normalized as a single vector's would be.
+        A DensityMatrix is a mixed state and gives a DensityMatrix.  A 1-D
+        array is a unit vector v for the pure state vv*, and also gives a
+        DensityMatrix; a 2-D array is a (b, N) stack of unit vectors, one
+        pure input per row, and gives the (b, k, k) array of their outputs,
+        each the double the row alone gives.  Vectors go through
+        `apply_pure` without forming the projector.  Outputs are
+        hermitized and have eigenvalue dust below 1e-10 clipped before
+        renormalizing.
         """
-        x = _operand(state, self.input_dim, "state", "input", stacked)
-        if stacked:
-            return normalize_states(self.apply_pure(unit_rows(x)))
-        if x.ndim == 1:
-            return DensityMatrix.normalized(self.apply_pure(unit_vector(x)))
-        return DensityMatrix.normalized(self.apply_matrix(x))
+        x = _operand(state, self.input_dim, "state", "input")
+        if isinstance(state, DensityMatrix):
+            return DensityMatrix.normalized(self.apply_matrix(x))
+        out = normalize_states(self.apply_pure(unit_rows(x)))
+        return out if x.ndim == 2 else DensityMatrix(out, _validated=True)
 
     def adjoint(self, observable) -> np.ndarray:
         """Adjoint action on an output-side observable, hermitized.
 
         A vector a stands for the rank-one observable aa* and goes through
-        `adjoint_rank_one`.
+        `adjoint_rank_one`; anything else is the observable's square matrix.
         """
         y = _operand(observable, self.output_dim, "observable", "output")
         if y.ndim == 1:
             return self.adjoint_rank_one(y)
-        return hermitize(self.adjoint_matrix(y))
+        return hermitize(self.adjoint_matrix(as_complex_matrix(y)))
 
     def apply_pure(self, vectors: np.ndarray) -> np.ndarray:
         """Output matrix for a pure input vector, or (b, k, k) outputs for a (b, N) stack.
@@ -304,9 +301,9 @@ class DepolarizingChannel(Channel):
         return np.trace(y) / self.output_dim * np.eye(self.input_dim, dtype=np.complex128)
 
 
-def make_depolarizing(output_dim: int, input_dim: int | None = None) -> DepolarizingChannel:
-    """Depolarizing channel M_N -> M_k; input defaults to the output dimension."""
-    return DepolarizingChannel(output_dim, input_dim or output_dim)
+def make_depolarizing(output_dim: int, input_dim: int) -> DepolarizingChannel:
+    """Depolarizing channel M_N -> M_k."""
+    return DepolarizingChannel(output_dim, input_dim)
 
 
 def make_pinching(dim: int) -> EBChannel:

@@ -9,34 +9,46 @@ the offending field named.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .channels import validate_weights
-from .errors import BadWeightsError, ConfigError
+from .errors import BadWeightsError, ConfigError, InvalidDensityMatrixError
+from .linalg import DensityMatrix
 
-EXPERIMENTS = (
-    "cm-convergence",
-    "norm-limit",
-    "psistar-sweep",
-    "stinespring-peak",
-    "weyl-invariance",
-    "eb-tensor",
-    "output-cloud",
-)
-
-PROBES = ("flat-rank-one", "random-pure", "explicit")
-
-CHANNEL_KINDS = ("mixed-unitary", "stinespring", "depolarizing")
-
-# channel keys these experiments never read: a config that set one would
-# name a channel the run does not measure
-_UNUSED_CHANNEL_KEYS = {
-    "stinespring-peak": ("weights", "channel"),
-    "psistar-sweep": ("weights", "t", "channel"),
-    "eb-tensor": ("weights", "t", "channel"),
+# The keys each run reads besides experiment, k, masterSeed and outputPath,
+# by the value of the key that selects them: an experiment whose keys list
+# "channel" or "probe" also reads the keys of the channel kind and probe it
+# gets.  stinespring-peak and weyl-invariance each measure one channel kind,
+# so they read its parameter and not `channel`.
+_READS = {
+    "experiment": {
+        "cm-convergence": ("nGrid", "trials", "channel", "probe", "m"),
+        "norm-limit": ("nGrid", "trials", "channel", "restarts", "iterCap"),
+        "psistar-sweep": ("rGrid",),
+        "stinespring-peak": ("nGrid", "trials", "t", "restarts", "iterCap"),
+        "weyl-invariance": ("nGrid", "trials", "weights", "probe"),
+        "eb-tensor": ("nGrid", "trials"),
+        "output-cloud": ("nGrid", "trials", "channel", "restarts", "iterCap", "samples"),
+    },
+    "channel": {
+        "mixed-unitary": ("weights",),
+        "stinespring": ("t",),
+        "depolarizing": (),
+    },
+    "probe": {
+        "flat-rank-one": (),
+        "random-pure": (),
+        "explicit": ("probeMatrix",),
+    },
 }
+
+EXPERIMENTS = tuple(_READS["experiment"])
+CHANNEL_KINDS = tuple(_READS["channel"])
+PROBES = tuple(_READS["probe"])
+
+_COMMON_KEYS = ("experiment", "k", "masterSeed", "outputPath")
 
 
 @dataclass(frozen=True)
@@ -45,8 +57,8 @@ class ExperimentConfig:
     k: int
     weights: tuple[float, ...] | None = None
     t: float | None = None
-    n_grid: tuple[int, ...] = field(default_factory=tuple)
-    r_grid: tuple[float, ...] = field(default_factory=tuple)
+    n_grid: tuple[int, ...] = ()
+    r_grid: tuple[float, ...] = ()
     trials: int = 1
     master_seed: int = 0
     m: int = 1
@@ -134,14 +146,13 @@ _PARSERS = {
     "outputPath": lambda k, v: v,
 }
 
-_FIELD_NAMES = {
-    "nGrid": "n_grid",
-    "rGrid": "r_grid",
-    "masterSeed": "master_seed",
-    "probeMatrix": "probe_matrix",
-    "iterCap": "iter_cap",
-    "outputPath": "output_path",
-}
+# a field left at its default counts as unset
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _field(key: str) -> str:
+    """Dataclass field of a config key: nGrid -> n_grid."""
+    return "".join(f"_{c.lower()}" if c.isupper() else c for c in key)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -158,9 +169,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raw = raw.strip()
         if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        if _field(key) in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[_FIELD_NAMES.get(key, key)] = _PARSERS[key](key, raw)
+        values[_field(key)] = _PARSERS[key](key, raw)
     if "experiment" not in values:
         raise ConfigError("experiment: missing")
     if "k" not in values:
@@ -179,26 +190,45 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config_text(text)
 
 
+def _readers(cfg: ExperimentConfig) -> dict[str, str]:
+    """Each key `_READS` gives the run of `cfg`, with the setting that reads it."""
+    readers = {"experiment": "every run"}
+    for selector, table in _READS.items():
+        if selector in readers:
+            value = cfg.channel_kind() if selector == "channel" else getattr(cfg, selector)
+            readers.update(dict.fromkeys(table[value], f"{selector} = {value}"))
+    return readers
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment: {cfg.experiment!r} not one of {', '.join(EXPERIMENTS)}"
-        )
-    for key in _UNUSED_CHANNEL_KEYS.get(cfg.experiment, ()):
-        if getattr(cfg, key) is not None:
-            raise ConfigError(f"{key}: not used by {cfg.experiment}")
-    if cfg.k < 1:
-        raise ConfigError(f"k: must be positive, got {cfg.k}")
-    if cfg.trials < 1:
-        raise ConfigError(f"trials: must be positive, got {cfg.trials}")
-    if cfg.probe not in PROBES:
-        raise ConfigError(f"probe: {cfg.probe!r} not one of {', '.join(PROBES)}")
-    if cfg.probe == "explicit" and cfg.probe_matrix is None:
-        raise ConfigError("probeMatrix: required when probe = explicit")
-    if cfg.probe_matrix is not None and len(cfg.probe_matrix) != cfg.k:
-        raise ConfigError(
-            f"probeMatrix: dimension {len(cfg.probe_matrix)} != k = {cfg.k}"
-        )
+    """Raise ConfigError naming the first key that `_READS` or a value range rejects.
+
+    A key whose run never reads it must be left at its default, and a key
+    the run reads that has no default value (a grid, a channel parameter,
+    the explicit probe) must be set.
+    """
+    for selector, table in _READS.items():
+        value = getattr(cfg, selector)
+        if value is not None and value not in table:
+            raise ConfigError(f"{selector}: {value!r} not one of {', '.join(table)}")
+    readers = _readers(cfg)
+    for key in _PARSERS:
+        if key not in readers and key not in _COMMON_KEYS:
+            if getattr(cfg, _field(key)) != _DEFAULTS[_field(key)]:
+                raise ConfigError(f"{key}: not used by {cfg.experiment}")
+    for key, reader in readers.items():
+        if key not in _READS and getattr(cfg, _field(key)) in (None, ()):
+            raise ConfigError(f"{key}: required by {reader}")
+    for key in ("k", "trials", "m", "restarts", "iterCap", "samples"):
+        value = getattr(cfg, _field(key))
+        if value < 1:
+            raise ConfigError(f"{key}: must be positive, got {value}")
+    if any(n < 1 for n in cfg.n_grid):
+        raise ConfigError("nGrid: entries must be positive")
+    if any(not (0.0 < r < 1.0) for r in cfg.r_grid):
+        raise ConfigError("rGrid: entries must lie in (0, 1)")
+    if cfg.t is not None and not (0.0 < cfg.t <= 1.0):
+        raise ConfigError(f"t: {cfg.t} outside (0, 1]")
     if cfg.weights is not None:
         if len(cfg.weights) != cfg.k:
             raise ConfigError(f"weights: expected {cfg.k} entries, got {len(cfg.weights)}")
@@ -206,54 +236,23 @@ def validate_config(cfg: ExperimentConfig) -> None:
             validate_weights(cfg.weights)
         except BadWeightsError as exc:
             raise ConfigError(f"weights: {exc}") from None
-    if cfg.t is not None and not (0.0 < cfg.t <= 1.0):
-        raise ConfigError(f"t: {cfg.t} outside (0, 1]")
-    if cfg.channel is not None and cfg.channel not in CHANNEL_KINDS:
-        raise ConfigError(
-            f"channel: {cfg.channel!r} not one of {', '.join(CHANNEL_KINDS)}"
-        )
-    if cfg.m < 1:
-        raise ConfigError(f"m: must be positive, got {cfg.m}")
-    if cfg.restarts < 1 or cfg.iter_cap < 1:
-        raise ConfigError("restarts/iterCap: must be positive")
-    if cfg.samples < 1:
-        raise ConfigError(f"samples: must be positive, got {cfg.samples}")
-    if any(n < 1 for n in cfg.n_grid):
-        raise ConfigError("nGrid: entries must be positive")
-    if cfg.experiment == "psistar-sweep":
-        if not cfg.r_grid:
-            raise ConfigError("rGrid: required for psistar-sweep")
-        if any(not (0.0 < r < 1.0) for r in cfg.r_grid):
-            raise ConfigError("rGrid: entries must lie in (0, 1)")
-        if cfg.k < 2:
-            raise ConfigError("k: psistar-sweep needs k >= 2")
-    else:
-        if not cfg.n_grid:
-            raise ConfigError(f"nGrid: required for {cfg.experiment}")
-    kind_needed = cfg.experiment in (
-        "cm-convergence",
-        "norm-limit",
-        "weyl-invariance",
-        "output-cloud",
-    )
-    if kind_needed:
-        kind = cfg.channel_kind()
-        if kind == "mixed-unitary" and cfg.weights is None:
-            raise ConfigError("weights: required for mixed-unitary channels")
-        if kind == "stinespring" and cfg.t is None:
-            raise ConfigError("t: required for stinespring channels")
-        if cfg.experiment == "weyl-invariance" and kind != "mixed-unitary":
-            raise ConfigError("channel: weyl-invariance needs mixed-unitary")
-    if cfg.experiment == "stinespring-peak" and cfg.t is None:
-        raise ConfigError("t: required for stinespring-peak")
-    # the peak-eigenvalue and norm limits these runs compare against are
-    # defined only for k >= 2
+    if cfg.probe_matrix is not None:
+        if len(cfg.probe_matrix) != cfg.k:
+            raise ConfigError(
+                f"probeMatrix: dimension {len(cfg.probe_matrix)} != k = {cfg.k}"
+            )
+        try:
+            DensityMatrix(cfg.probe_array())
+        except InvalidDensityMatrixError as exc:
+            raise ConfigError(f"probeMatrix: {exc}") from None
+    # the sweep's one-light weight family, and the peak-eigenvalue and norm
+    # limits these runs compare against, are defined only for k >= 2
     if cfg.k < 2 and (
-        cfg.experiment == "stinespring-peak"
+        cfg.experiment in ("psistar-sweep", "stinespring-peak")
         or (cfg.experiment == "norm-limit" and cfg.channel_kind() != "depolarizing")
         or (cfg.experiment == "output-cloud" and cfg.channel_kind() == "stinespring")
     ):
-        raise ConfigError(f"k: {cfg.experiment} needs k >= 2 for its target")
+        raise ConfigError(f"k: {cfg.experiment} needs k >= 2")
 
 
 def with_overrides(

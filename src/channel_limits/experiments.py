@@ -197,10 +197,7 @@ def _cloud_outputs(channel: Channel, samples: int, env_dim: int, rng) -> list[np
     """
     rows = _cloud_block_rows(channel, env_dim)
     return [
-        channel.apply(
-            sample_pure_state(channel.input_dim, rng, min(rows, samples - start)),
-            stacked=True,
-        )
+        channel.apply(sample_pure_state(channel.input_dim, rng, min(rows, samples - start)))
         for start in range(0, samples, rows)
     ]
 

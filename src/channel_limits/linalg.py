@@ -103,17 +103,17 @@ class EigenSystem(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def hermitian_eigs(m, tol: float = HERMITIAN_TOL, *, top: bool = False) -> EigenSystem:
+def hermitian_eigs(m, *, top: bool = False) -> EigenSystem:
     """Eigensystem of a Hermitian matrix, eigenvalues descending.
 
     Ties keep the solver's ordering.  With `top=True` only the largest
     eigenvalue and one unit eigenvector for it are returned (one value,
     one column), which costs less than the full solve.  Raises
-    NonHermitianError when the input is further than `tol` from Hermitian
+    NonHermitianError when the input is further than 1e-10 from Hermitian
     in max norm, and NoConvergenceError when the underlying solver gives
     up or the top eigenvector misses its residual bound.
     """
-    h = _hermitian_part(m, tol)
+    h = _hermitian_part(m)
     try:
         if top:
             return _top_eigenpair(h)
@@ -150,9 +150,9 @@ def _top_eigenpair(h: np.ndarray) -> EigenSystem:
     return EigenSystem(np.array([lam]), x[:, None])
 
 
-def hermitian_eigenvalues(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Eigenvalues only, descending."""
-    h = _hermitian_part(m, tol)
+    h = _hermitian_part(m)
     try:
         vals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -205,13 +205,7 @@ class DensityMatrix:
 
         The one-matrix case of `normalize_states`.
         """
-        out = normalize_states(matrix)
-        if out.ndim != 2:
-            raise DimensionMismatchError(f"expected a square matrix, got shape {out.shape}")
-        obj = cls.__new__(cls)
-        obj.matrix = out
-        obj.dim = out.shape[0]
-        return obj
+        return cls(normalize_states(matrix), _validated=True)
 
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":
@@ -224,17 +218,6 @@ class DensityMatrix:
         if dim <= 0:
             raise DimensionMismatchError("dimension must be positive")
         return cls(np.eye(dim, dtype=np.complex128) / dim, _validated=True)
-
-    @classmethod
-    def diagonal(cls, probabilities) -> "DensityMatrix":
-        p = np.asarray(probabilities, dtype=float)
-        return cls(np.diag(p).astype(np.complex128))
-
-    def eigenvalues(self) -> np.ndarray:
-        return hermitian_eigenvalues(self.matrix, tol=HERMITIAN_TOL)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DensityMatrix(dim={self.dim})"
 
 
 def state_matrix(state, *, stack: bool = False) -> np.ndarray:

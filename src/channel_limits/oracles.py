@@ -47,27 +47,23 @@ def _derivative_roots(squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     b = np.atleast_2d(np.asarray(squared, dtype=float))
     m, k = b.shape
-    zero_terms = (b == 0.0).sum(axis=1)
-    f_at_zero = 2.0 - k + zero_terms
-    x = np.zeros(m)
-    active = f_at_zero < 0.0
-    if np.any(active):
-        lo = np.zeros(m)
-        hi = k * np.sqrt(np.max(b, axis=1))
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            with np.errstate(invalid="ignore"):
-                f = 2.0 - k + np.sum(
-                    mid[:, None] / np.sqrt(mid[:, None] ** 2 + b), axis=1
-                )
-            above = f > 0.0
-            new_hi = np.where(above, mid, hi)
-            new_lo = np.where(above, lo, mid)
-            # an unmoved bracket is a fixed point: further steps change nothing
-            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-                break
-            lo, hi = new_lo, new_hi
-        x = np.where(active, 0.5 * (lo + hi), 0.0)
+    active = 2.0 - k + (b == 0.0).sum(axis=1) < 0.0
+    # a boundary row starts with the bracket [0, 0], which never moves,
+    # so only the interior rows decide when the loop stops
+    lo = np.zeros(m)
+    hi = np.where(active, k * np.sqrt(np.max(b, axis=1)), 0.0)
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        with np.errstate(invalid="ignore"):
+            f = 2.0 - k + np.sum(mid[:, None] / np.sqrt(mid[:, None] ** 2 + b), axis=1)
+        above = f > 0.0
+        new_hi = np.where(above, mid, hi)
+        new_lo = np.where(above, lo, mid)
+        # an unmoved bracket is a fixed point: further steps change nothing
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    x = 0.5 * (lo + hi)
     values = (2.0 - k) * x + np.sum(np.sqrt(x[:, None] ** 2 + b), axis=1)
     return values, x
 

@@ -256,7 +256,7 @@ def test_stacked_vectors_match_single_vectors_bit_for_bit(kind):
     ch = _sample_channel(kind, rng)
     vs = sample_pure_state(ch.input_dim, rng, 9)
     pure = ch.apply_pure(vs)
-    states = ch.apply(vs, stacked=True)
+    states = ch.apply(vs)
     assert pure.shape == states.shape == (9, ch.output_dim, ch.output_dim)
     for v, out, state in zip(vs, pure, states):
         assert np.array_equal(out, ch.apply_pure(v))
@@ -274,15 +274,27 @@ def test_stacked_vectors_are_checked_row_by_row():
     bad = vs.copy()
     bad[2] *= 1.0 + 1e-9
     with pytest.raises(NotUnitVectorError):
-        ch.apply(bad, stacked=True)
+        ch.apply(bad)
     bad = vs.copy()
     bad[1, 0] = np.nan
     with pytest.raises(InvalidDensityMatrixError):
-        ch.apply(bad, stacked=True)
+        ch.apply(bad)
     with pytest.raises(DimensionMismatchError):
-        ch.apply(vs[:, 1:], stacked=True)
+        ch.apply(vs[:, 1:])
     with pytest.raises(DimensionMismatchError):
-        ch.apply(vs[0], stacked=True)
+        ch.apply(vs[None])
+
+
+@pytest.mark.parametrize("kind", ["stinespring", "mixed-unitary", "eb", "depolarizing"])
+def test_raw_matrix_is_read_as_a_stack_of_vectors(kind):
+    # a mixed input must come as a DensityMatrix: the rows of a bare
+    # density matrix are not unit vectors, so apply refuses it
+    rng = np.random.default_rng(35)
+    ch = _sample_channel(kind, rng)
+    rho = sample_density_matrix(ch.input_dim, rng)
+    with pytest.raises(NotUnitVectorError):
+        ch.apply(rho.matrix)
+    assert isinstance(ch.apply(rho), DensityMatrix)
 
 
 def test_vector_forms_check_length_and_norm():

@@ -1,5 +1,6 @@
 """Experiment harness: config parsing, runners, serialization, CLI."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -348,21 +349,107 @@ def test_cli_weights_off_by_rounding_are_exit_one(tmp_path, capsys):
     assert "weights sum to 0.9999999999, not 1" in captured.err
 
 
+def _golden_text(stem):
+    return (GOLDEN_DIR / f"{stem}.cfg").read_text()
+
+
 @pytest.mark.parametrize(
-    "base, extra",
+    "base, extra, key",
     [
-        ((GOLDEN_DIR / "stinespring_peak.cfg").read_text(),
-         "channel = depolarizing\nweights = 0.25, 0.75\n"),
-        (SWEEP_TEXT, "weights = 0.1, 0.2, 0.3, 0.4\n"),
+        (_golden_text("stinespring_peak"), "channel = depolarizing\nweights = 0.25, 0.75\n",
+         "weights"),
+        (SWEEP_TEXT, "weights = 0.1, 0.2, 0.3, 0.4\n", "weights"),
+        (_golden_text("cm_convergence"), "t = 0.5\n", "t"),
+        (_golden_text("cm_convergence"), "samples = 50\n", "samples"),
+        (_golden_text("cm_convergence"), "restarts = 3\n", "restarts"),
+        (CM_TEXT, "weights = 0.2, 0.3, 0.5\n", "weights"),
+        (CM_TEXT, "probeMatrix = 1,0 ; 0,0 ; 0,0 ; 0,0\n", "probeMatrix"),
+        (_golden_text("norm_limit"), "m = 3\n", "m"),
+        (SWEEP_TEXT, "nGrid = 4\n", "nGrid"),
+        (SWEEP_TEXT, "trials = 3\n", "trials"),
+        (_golden_text("stinespring_peak"), "probe = random-pure\n", "probe"),
+        (_golden_text("weyl_invariance"), "channel = mixed-unitary\n", "channel"),
+        (_golden_text("weyl_invariance"), "iterCap = 30\n", "iterCap"),
+        (_golden_text("eb_tensor"), "channel = depolarizing\n", "channel"),
+        (_golden_text("output_cloud"), "m = 2\n", "m"),
+        # weights select the mixed-unitary channel, which reads no t
+        (_golden_text("output_cloud"), "weights = 0.5, 0.5\n", "t"),
     ],
-    ids=["stinespring-peak-channel-weights", "psistar-sweep-weights"],
+    ids=[
+        "stinespring-peak-channel-weights",
+        "psistar-sweep-weights",
+        "cm-convergence-weights-and-t",
+        "cm-convergence-samples",
+        "cm-convergence-restarts",
+        "cm-convergence-depolarizing-weights",
+        "cm-convergence-probe-matrix-without-explicit",
+        "norm-limit-m",
+        "psistar-sweep-n-grid",
+        "psistar-sweep-trials",
+        "stinespring-peak-probe",
+        "weyl-invariance-channel",
+        "weyl-invariance-iter-cap",
+        "eb-tensor-channel",
+        "output-cloud-m",
+        "output-cloud-weights-and-t",
+    ],
 )
-def test_cli_unused_channel_keys_are_exit_one(tmp_path, capsys, base, extra):
-    # the keys would name a channel the experiment does not measure
+def test_cli_unread_keys_are_exit_one(tmp_path, capsys, base, extra, key):
+    # a key the run never reads would describe a run the config does not get
     code = cli_main(["run", _write(tmp_path, "x.cfg", base + extra), "--out", "-"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "not used by" in captured.err
+    experiment = parse_config_text(base).experiment
+    assert f"config error: {key}: not used by {experiment}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "matrix, problem",
+    [
+        ("1,0 ; 0,0 ; 0,0 ; 1,0", "trace"),
+        ("0.5,0 ; 0.1,0 ; 0.2,0 ; 0.5,0", "not Hermitian"),
+        ("1.5,0 ; 0,0 ; 0,0 ; -0.5,0", "minimum eigenvalue"),
+    ],
+    ids=["trace-two", "non-hermitian", "negative"],
+)
+def test_cli_explicit_probe_that_is_not_a_state_is_exit_one(tmp_path, capsys, matrix, problem):
+    text = (
+        "experiment = cm-convergence\nk = 2\nchannel = depolarizing\nnGrid = 4\n"
+        f"probe = explicit\nprobeMatrix = {matrix}\n"
+    )
+    code = cli_main(["run", _write(tmp_path, "probe.cfg", text), "--out", "-"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "config error: probeMatrix:" in captured.err
+    assert problem in captured.err
+
+
+def _shipped_configs():
+    """Every config the repository runs, by name: configs/, the goldens, the benchmark's."""
+    configs = {
+        str(path.relative_to(REPO)): path.read_text()
+        for path in sorted([*(REPO / "configs").glob("*.cfg"), *GOLDEN_DIR.glob("*.cfg")])
+    }
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the class is built
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        configs[f"perfbench {name}"] = workloads.render(workload.config(1))
+    return configs
+
+
+SHIPPED_CONFIGS = _shipped_configs()
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_shipped_configs_load(name):
+    # every config the repository runs sets only keys its run reads
+    parse_config_text(SHIPPED_CONFIGS[name])
 
 
 @pytest.mark.parametrize(

@@ -194,7 +194,7 @@ def test_density_matrix_constructors():
     assert abs(np.trace(p.matrix) - 1.0) <= 1e-14
     m = DensityMatrix.maximally_mixed(4)
     assert np.abs(m.matrix - np.eye(4) / 4).max() <= 1e-14
-    d = DensityMatrix.diagonal([0.2, 0.8])
+    d = DensityMatrix(np.diag([0.2, 0.8]))
     assert np.abs(d.matrix - np.diag([0.2, 0.8])).max() <= 1e-14
 
 
@@ -226,7 +226,7 @@ def test_von_neumann_entropy_extremes():
 
 
 def test_von_neumann_entropy_two_level():
-    state = DensityMatrix.diagonal([0.7, 0.3])
+    state = DensityMatrix(np.diag([0.7, 0.3]))
     expect = -0.7 * np.log(0.7) - 0.3 * np.log(0.3)
     assert abs(von_neumann_entropy(state) - expect) <= 1e-12
 

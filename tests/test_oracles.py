@@ -32,6 +32,7 @@ from channel_limits.errors import (
     OutOfRangeError,
     ZeroVectorError,
 )
+from channel_limits import oracles
 from channel_limits.oracles import _derivative_roots
 
 
@@ -411,6 +412,44 @@ def test_derivative_roots_match_fixed_bisection_bit_for_bit(k):
         assert np.array_equal(roots, want_roots)
 
 
+class _PassCounter:
+    """numpy as `oracles` sees it, counting `errstate` entries: one per bisection pass."""
+
+    def __init__(self):
+        self.passes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def errstate(self, **kwargs):
+        self.passes += 1
+        return np.errstate(**kwargs)
+
+
+def _roots_and_passes(monkeypatch, rows):
+    counter = _PassCounter()
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "np", counter)
+        values, roots = _derivative_roots(rows)
+    return values, roots, counter.passes
+
+
+def test_boundary_rows_do_not_prolong_the_bisection(monkeypatch):
+    # every other row gets k - 2 exact zeros, so F(0+) >= 0 puts it at x = 0
+    k = 4
+    a = stream(16, k).standard_normal((50, k))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    mixed = a**2
+    mixed[::2, : k - 2] = 0.0
+    values, roots, passes = _roots_and_passes(monkeypatch, mixed)
+    _, _, interior_passes = _roots_and_passes(monkeypatch, mixed[1::2])
+    assert passes == interior_passes < oracles._BISECTION_STEPS
+    assert np.all(roots[::2] == 0.0) and np.all(roots[1::2] > 0.0)
+    for row, value, root in zip(mixed, values, roots):
+        (one_value,), (one_root,) = _derivative_roots(row)
+        assert one_value == value and one_root == root
+
+
 # -------------------------------------------------------------- norm limits
 
 
@@ -501,7 +540,7 @@ def test_peak_eigenvalue_domain():
 @pytest.mark.parametrize("k, peak", [(2, 0.9582575694955839), (3, 0.5), (5, 0.2)])
 def test_flat_tail_entropy_is_entropy_of_its_spectrum(k, peak):
     rest = (1.0 - peak) / (k - 1)
-    spectrum = DensityMatrix.diagonal([peak] + [rest] * (k - 1))
+    spectrum = DensityMatrix(np.diag([peak] + [rest] * (k - 1)))
     assert flat_tail_entropy(k, peak) == pytest.approx(
         von_neumann_entropy(spectrum), abs=1e-14
     )
