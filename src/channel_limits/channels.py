@@ -160,6 +160,9 @@ class Channel:
         v = np.asarray(vector, dtype=np.complex128).reshape(-1)
         return hermitize(self.adjoint_matrix(np.outer(v, v.conj())))
 
+    def cache_lifts(self) -> None:
+        """Prepare for many `adjoint_rank_one` calls; the generic lift keeps nothing."""
+
 
 class StinespringChannel(Channel):
     """Channel X -> Tr_env[V X V*] for an isometry V : C^N -> C^k (x) C^env.
@@ -174,6 +177,9 @@ class StinespringChannel(Channel):
     `_validated=True` skips the V* V check, for samplers whose isometry is
     exact by construction.
     """
+
+    # blocks (i, j, V_i* V_j) for i <= j, kept by `cache_lifts`
+    _gram: list | None = None
 
     def __init__(self, isometry, output_dim: int, env_dim: int, *, _validated: bool = False):
         v = np.asarray(isometry, dtype=np.complex128)
@@ -214,20 +220,55 @@ class StinespringChannel(Channel):
         return y @ y.conj().swapaxes(-1, -2)
 
     def adjoint_rank_one(self, vector: np.ndarray) -> np.ndarray:
-        # V*(aa* (x) I)V = B*B for B the a-contraction of the isometry blocks
+        # V*(aa* (x) I)V = B*B for B = sum_i conj(a_i) V_i, V_i the isometry's
+        # output blocks; expanded, sum_ij a_i conj(a_j) V_i* V_j
         a = np.asarray(vector, dtype=np.complex128).reshape(-1)
+        if self._gram is not None:
+            return self._gram_lift(a)
         v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
         b = np.tensordot(a.conj(), v, axes=(0, 0))
         return hermitize(b.conj().T @ b)
+
+    def cache_lifts(self) -> None:
+        """Keep the Gram blocks G_ij = V_i* V_j (i <= j) of the output blocks V_i.
+
+        A rank-one lift then sums k(k+1)/2 scaled N x N blocks instead of
+        forming B and the (env x N)-by-N product B*B.  Building the blocks
+        costs k(k+1)/2 such products, one at a time, so they pay off only
+        on a channel that is lifted more often than that.
+        """
+        if self._gram is None:
+            v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
+            k = self.output_dim
+            self._gram = [
+                (i, j, self._gram_block(v, i, j)) for i in range(k) for j in range(i, k)
+            ]
+
+    def _gram_block(self, v: np.ndarray, i: int, j: int):
+        return v[i].conj().T @ v[j]
+
+    def _gram_lift(self, a: np.ndarray) -> np.ndarray:
+        # the lift is U + U* = hermitize(2U) for
+        # U = sum_i (|a_i|^2 / 2) G_ii + sum_{i<j} a_i conj(a_j) G_ij,
+        # since G_ji = G_ij*
+        two_u = np.zeros((self.input_dim, self.input_dim), dtype=np.complex128)
+        for i, j, g in self._gram:
+            c = abs(a[i]) ** 2 if i == j else 2.0 * a[i] * a[j].conjugate()
+            if np.ndim(g):
+                two_u += c * g
+            else:  # the block g I
+                two_u.flat[:: self.input_dim + 1] += c * g
+        return hermitize(two_u)
 
 
 class MixedUnitaryChannel(StinespringChannel):
     """Weighted family of unitaries, output entries sqrt(w_i w_j) Tr[U_i X U_j*].
 
-    Stores only the Stinespring isometry stacking sqrt(w_i) U_i as blocks;
-    the weights (strictly positive, summing to 1) are checked first.  Each
-    U_i is checked to be unitary on its own: the stacked isometry alone
-    would only certify sum_i w_i U_i* U_i = I.  `_validated=True` skips
+    Stores the Stinespring isometry stacking sqrt(w_i) U_i as blocks, and
+    the weights (strictly positive, summing to 1, checked first), which
+    give the diagonal Gram blocks w_i I of `cache_lifts` without a
+    product.  Each U_i is checked to be unitary on its own: the stacked
+    isometry alone would only certify sum_i w_i U_i* U_i = I.  `_validated=True` skips
     those checks, for samplers whose unitaries are exact by construction.
     """
 
@@ -244,9 +285,14 @@ class MixedUnitaryChannel(StinespringChannel):
                 _check_isometry(u)
         blocks = np.stack(us)
         blocks *= np.sqrt(w)[:, None, None]
+        self.weights = w
         self.output_dim = int(w.size)
         self.env_dim = self.input_dim = n
         self.isometry = blocks.reshape(w.size * n, n)
+
+    def _gram_block(self, v: np.ndarray, i: int, j: int):
+        # V_i* V_i = w_i U_i* U_i = w_i I: a scalar, with no product or storage
+        return float(self.weights[i]) if i == j else super()._gram_block(v, i, j)
 
 
 class EBChannel(Channel):

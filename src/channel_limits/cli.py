@@ -4,19 +4,53 @@
                                 [--threads T]
 
 Results go to the path from the config's outputPath key unless --out
-overrides it ('-' writes to stdout).  Progress is printed on stderr so
-piped output stays clean.  Exit codes: 0 success, 1 configuration
+overrides it ('-' writes to stdout).  Progress, and the package's INFO
+log (such as how many ascent restarts were capped), is printed on
+stderr so piped output stays clean.  Exit codes: 0 success, 1 configuration
 error, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import logging
 import sys
 
 from .config import load_config, with_overrides
 from .errors import ConfigError
 from .experiments import emit_results, run_experiment
+
+
+# glibc's mallopt parameter M_MMAP_THRESHOLD, and glibc's default value for it
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 128 * 1024
+
+
+def _pin_mmap_threshold() -> None:
+    """Stop glibc's mmap threshold from rising while trials share the process.
+
+    glibc serves a request of at least the threshold with a mapping of its
+    own, returned to the OS when freed, and raises the threshold to the
+    size of each such block that is freed.  Blocks below the new threshold
+    then come from per-thread arenas, which keep freed pages.  With several
+    workers, which n x n temporaries land in an arena depends on how the
+    workers interleave, and the peak resident memory with it: two
+    cm-convergence workers up to n = 800 peaked at 129 MB in one run and
+    145 MB in the next.  Setting the threshold once keeps it at glibc's
+    default, so a freed temporary goes back at once and the peak follows
+    the live arrays.  A single worker keeps the sliding threshold: its
+    arena reuse repeats from run to run and spares the ascent's repeated
+    temporaries their page faults.  Does nothing outside Linux or without
+    `mallopt`.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,6 +70,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    log = logging.getLogger("channel_limits")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("[channel-limits] %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
         cfg = with_overrides(cfg, master_seed=args.seed, output_path=args.out)
@@ -48,6 +96,8 @@ def main(argv: list[str] | None = None) -> int:
             f"[channel-limits] {cfg.experiment}: k={cfg.k} seed={cfg.master_seed}",
             file=sys.stderr,
         )
+        if args.threads > 1:
+            _pin_mmap_threshold()
         records = run_experiment(cfg, threads=args.threads)
         text = emit_results(records, args.format)
     except ConfigError as exc:

@@ -49,7 +49,11 @@ def _haar_columns(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
+    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix.
+
+    Mezzadri, "How to generate random matrices from the classical compact
+    groups", Notices AMS 54 (2007).
+    """
     if dim <= 0:
         raise DimensionMismatchError("dimension must be positive")
     return _haar_columns(dim, dim, rng)
@@ -88,14 +92,48 @@ def sample_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix.normalized(m / np.trace(m).real)
 
 
+def _k_weights(k: int, weights) -> np.ndarray:
+    w = validate_weights(weights)
+    if w.size != k:
+        raise DimensionMismatchError(f"need {k} weights, got {w.size}")
+    return w
+
+
 def sample_mixed_unitary_channel(
     k: int, n: int, weights, rng: np.random.Generator
 ) -> MixedUnitaryChannel:
     """k independent Haar unitaries on C^n with the given weights."""
-    w = validate_weights(weights)
-    if w.size != k:
-        raise DimensionMismatchError(f"need {k} weights, got {w.size}")
+    w = _k_weights(k, weights)
     us = [haar_unitary(n, rng) for _ in range(k)]
+    return MixedUnitaryChannel(w, us, _validated=True)
+
+
+def sample_gauged_mixed_unitary_channel(
+    k: int, n: int, weights, rng: np.random.Generator
+) -> MixedUnitaryChannel:
+    """U_1 = I and k - 1 independent Haar unitaries on C^n, with the given weights.
+
+    As a random channel this is not `sample_mixed_unitary_channel`, but its
+    output set, and every quantity the experiments read from it, has the
+    same law, at one Haar draw fewer.  Let Phi be the channel of Haar
+    unitaries U_1..U_k and Psi the channel of U_i U_1* (whose first unitary
+    is I), with the same weights.
+
+    * Psi(X) = Phi(U_1* X U_1), so Psi = Phi o Ad(U_1*).  Ad(U_1*) maps the
+      states onto themselves, and pure states onto pure states, so Psi and
+      Phi have the same output set and the same sup over pure inputs.
+    * Psi*(A) = U_1 Phi*(A) U_1*, so each adjoint lift of Psi is unitarily
+      conjugate to that of Phi and has the same spectrum.
+    * Given U_1, the products U_i U_1* (i >= 2) are independent, each Haar
+      by the right invariance of Haar measure.  That conditional law does
+      not depend on U_1, so they are i.i.d. Haar outright.
+
+    So the k - 1 unitaries drawn here have the law of U_i U_1*, and every
+    function of the output set or of the lift spectra has the law it has
+    under `sample_mixed_unitary_channel`.
+    """
+    w = _k_weights(k, weights)
+    us = [np.eye(n, dtype=np.complex128)] + [haar_unitary(n, rng) for _ in range(k - 1)]
     return MixedUnitaryChannel(w, us, _validated=True)
 
 

@@ -12,8 +12,10 @@ stable schema:
 from __future__ import annotations
 
 import json
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .config import ExperimentConfig
 from .ensembles import (
     StinespringRegime,
     sample_density_matrix,
-    sample_mixed_unitary_channel,
+    sample_gauged_mixed_unitary_channel,
     sample_projective_povm,
     sample_pure_state,
     sample_stinespring_channel,
@@ -30,13 +32,14 @@ from .ensembles import (
 )
 from .errors import ConfigError, EmptyResultsError
 from .geometry import (
+    NormAscent,
     estimate_smin,
     holevo_from_smin,
     norm_ascent,
     probe_top_eigenvalues,
     weyl_operator,
 )
-from .linalg import DensityMatrix, hermitian_eigs
+from .linalg import hermitian_eigs
 from .oracles import (
     flat_tail_entropy,
     mixed_unitary_norm_limit,
@@ -64,10 +67,15 @@ class ExperimentRecord:
     error: float | None
 
 
+_log = logging.getLogger(__name__)
+
+
 def _build_channel(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> Channel:
+    # every runner reads a mixed-unitary channel only through its output set
+    # and lift spectra, whose law the gauge U_1 = I keeps
     kind = cfg.channel_kind()
     if kind == "mixed-unitary":
-        return sample_mixed_unitary_channel(cfg.k, n, cfg.weights, rng)
+        return sample_gauged_mixed_unitary_channel(cfg.k, n, cfg.weights, rng)
     if kind == "stinespring":
         return StinespringRegime(cfg.k, cfg.t).sample(n, rng)
     return make_depolarizing(cfg.k, n)
@@ -88,11 +96,24 @@ def _build_probe(
     if cfg.probe == "random-pure":
         a = sample_pure_state(cfg.k, rng)
         return a, a
-    mat = DensityMatrix(cfg.probe_array()).matrix
+    return _explicit_probe(cfg)
+
+
+@lru_cache(maxsize=1)
+def _explicit_probe(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """The explicit probe's matrix and, when it is rank one, its top eigenvector.
+
+    Resolved once for all trials of a config, whose loading checked that
+    the matrix is a state.  The trials share the arrays, so they are read-only.
+    """
+    mat = cfg.probe_array()
+    mat.flags.writeable = False
     vals, vecs = hermitian_eigs(mat)
-    if vals[0] >= 1.0 - 1e-10:
-        return mat, vecs[:, 0]
-    return mat, None
+    if vals[0] < 1.0 - 1e-10:
+        return mat, None
+    coeff = vecs[:, 0]
+    coeff.flags.writeable = False
+    return mat, coeff
 
 
 def _rank_one_target(cfg: ExperimentConfig, coeff: np.ndarray | None) -> float | None:
@@ -126,9 +147,7 @@ def _run_cm_convergence(cfg, trial, n):
     target = _rank_one_target(cfg, coeff)
     count = min(cfg.m, channel.input_dim)
     probe = probe_top_eigenvalues(channel, observable, count)
-    return _record(
-        cfg, trial, n, cfg.probe, (*probe.eigenvalues, probe.spread), target
-    )
+    return _record(cfg, trial, n, cfg.probe, (*probe.eigenvalues, probe.spread), target), None
 
 
 def _run_norm_limit(cfg, trial, n):
@@ -141,8 +160,8 @@ def _run_norm_limit(cfg, trial, n):
         target = stinespring_peak_eigenvalue(cfg.k, cfg.t)
     else:
         target = 1.0 / cfg.k
-    estimate = norm_ascent(channel, rng, cfg.restarts, cfg.iter_cap).value
-    return _record(cfg, trial, n, "ascent", (estimate,), target)
+    ascent = norm_ascent(channel, rng, cfg.restarts, cfg.iter_cap)
+    return _record(cfg, trial, n, "ascent", (ascent.value,), target), ascent
 
 
 def _run_weyl_invariance(cfg, trial, n):
@@ -161,7 +180,7 @@ def _run_weyl_invariance(cfg, trial, n):
                 conjugated = w @ observable @ w.conj().T
             probe = probe_top_eigenvalues(channel, conjugated, 1)
             values.append(probe.top)
-    return _record(cfg, trial, n, cfg.probe, tuple(values), target)
+    return _record(cfg, trial, n, cfg.probe, tuple(values), target), None
 
 
 def _run_eb_tensor(cfg, trial, n):
@@ -174,7 +193,7 @@ def _run_eb_tensor(cfg, trial, n):
     joint = eb_tensor_output(eb, psi, vector)
     split = eb_tensor_decompose(eb, psi, vector)
     residual = float(np.max(np.abs(joint.matrix - split.reconstruct(eb, psi))))
-    return _record(cfg, trial, n, "reconstruction", (residual,), 0.0)
+    return _record(cfg, trial, n, "reconstruction", (residual,), 0.0), None
 
 
 # bytes of input vectors and their images that one block of the output
@@ -214,9 +233,11 @@ def _run_output_cloud(cfg, trial, n):
         target = flat_tail_entropy(cfg.k, stinespring_peak_eigenvalue(cfg.k, cfg.t))
     elif kind == "depolarizing":
         target = float(np.log(cfg.k))
-    return _record(cfg, trial, n, "cloud", (smin, holevo, ascent.value), target)
+    return _record(cfg, trial, n, "cloud", (smin, holevo, ascent.value), target), ascent
 
 
+# each runner maps (cfg, trial, n) to the trial's record and its NormAscent,
+# or None for a trial without an ascent
 _TRIAL_RUNNERS = {
     "cm-convergence": _run_cm_convergence,
     "norm-limit": _run_norm_limit,
@@ -245,8 +266,29 @@ def _run_psistar_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     return records
 
 
+def _log_ascents(cfg: ExperimentConfig, ascents: list[NormAscent]) -> None:
+    """Log one line on the restarts of the config's ascents that did not converge.
+
+    Such a restart is capped when it used all `iterCap` evaluations, and
+    stalled when it stopped before.
+    """
+    restarts = [(n, done) for a in ascents for n, done in zip(a.evaluations, a.converged)]
+    capped = sum(1 for n, done in restarts if not done and n >= cfg.iter_cap)
+    stalled = sum(1 for _, done in restarts if not done) - capped
+    _log.info(
+        "ascent: %d of %d restarts capped%s",
+        capped,
+        len(restarts),
+        f", {stalled} stalled" if stalled else "",
+    )
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRecord]:
-    """All records for one config, in trial order regardless of scheduling."""
+    """All records for one config, in trial order regardless of scheduling.
+
+    A config whose trials run the norm ascent also logs, at INFO, how many
+    of their restarts stopped without converging.
+    """
     if cfg.experiment == "psistar-sweep":
         return _run_psistar_sweep(cfg)
     runner = _TRIAL_RUNNERS[cfg.experiment]
@@ -258,11 +300,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRe
     ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda s: runner(cfg, *s), specs))
+            results = list(pool.map(lambda s: runner(cfg, *s), specs))
     else:
-        records = [runner(cfg, *s) for s in specs]
-    records.sort(key=lambda r: r.trial)
-    return records
+        results = [runner(cfg, *s) for s in specs]
+    ascents = [ascent for _, ascent in results if ascent is not None]
+    if ascents:
+        _log_ascents(cfg, ascents)
+    return [record for record, _ in results]
 
 
 def _format_value(v: float | None) -> str:

@@ -139,6 +139,12 @@ def _sphere_bfgs(channel: Channel, a: np.ndarray, iter_cap: int, tol: float):
             return values, x, out, evaluations, False, g_norm
         f_new, g_new, x_new, out_new = trial
         if f_new <= f:
+            # near a maximum f stops rising at rounding level; a tie still
+            # ends the restart converged when the trial point's gradient
+            # norm is at most tol
+            g_new_norm = float(np.linalg.norm(g_new))
+            if f_new == f and g_new_norm <= tol:
+                return values, x_new, out_new, evaluations, True, g_new_norm
             return values, x, out, evaluations, False, g_norm
         # carry the step and the old gradient to the tangent space at b
         s = t * p
@@ -169,13 +175,17 @@ def norm_ascent(
     normalization as the retraction (Absil, Mahony & Sepulchre,
     Optimization Algorithms on Matrix Manifolds, 2008, ch. 4 and 8).  One
     evaluation of f costs one lift, one top eigenpair and one forward
-    map, and also gives the gradient Phi(xx*) a - f a.
+    map, and also gives the gradient Phi(xx*) a - f a.  The lifts all
+    act on one channel, so it first keeps what makes them cheap
+    (`Channel.cache_lifts`).
 
     A restart has converged once its gradient norm is at most `tol`.
     `iter_cap` caps its evaluations, line-search trials included.  A
-    restart also stops, unconverged, when an accepted step fails to
-    raise f or the step shrinks below rounding; it never moves to a
-    lower f.
+    restart also stops when an accepted step fails to raise f: it ends
+    converged at the new point when f is unchanged to the last bit and
+    the new gradient norm is at most `tol`, and unconverged at the old
+    point otherwise.  It stops unconverged when the step shrinks below
+    rounding, and it never moves to a lower f.
 
     The reported value of a restart is the top eigenvalue of Phi(xx*) at
     its last point: the value of the best a for that x, so it is
@@ -190,6 +200,7 @@ def norm_ascent(
     best_x = None
     best_traj: tuple[float, ...] = ()
     outputs, evaluations, converged, gradient_norms = [], [], [], []
+    channel.cache_lifts()
     for _ in range(restarts):
         a = sample_pure_state(channel.output_dim, rng)
         values, x, out, count, done, g_norm = _sphere_bfgs(channel, a, iter_cap, tol)

@@ -15,6 +15,7 @@ from channel_limits import (
     make_depolarizing,
     make_pinching,
     sample_density_matrix,
+    sample_gauged_mixed_unitary_channel,
     sample_mixed_unitary_channel,
     sample_projective_povm,
     sample_pure_state,
@@ -336,6 +337,38 @@ def test_mixed_unitary_kernels_match_direct_index_sums():
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     rank_one = direct_adjoint(np.outer(a, a.conj()))
     assert np.abs(ch.adjoint_rank_one(a) - rank_one).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind", ["stinespring", "mixed-unitary", "gauged-mixed-unitary", "one-output"]
+)
+def test_gram_lift_matches_the_product_and_the_index_sum(kind):
+    rng = np.random.default_rng(25)
+    if kind == "stinespring":
+        ch = sample_stinespring_channel(3, 4, 7, rng)
+    elif kind == "mixed-unitary":
+        ch = sample_mixed_unitary_channel(3, 5, [0.2, 0.3, 0.5], rng)
+    elif kind == "gauged-mixed-unitary":
+        ch = sample_gauged_mixed_unitary_channel(3, 5, [0.2, 0.3, 0.5], rng)
+    else:
+        ch = sample_stinespring_channel(1, 6, 4, rng)
+    blocks = ch.isometry.reshape(ch.output_dim, ch.env_dim, ch.input_dim)
+    # unit vectors, and one that is not
+    vectors = [sample_pure_state(ch.output_dim, rng) for _ in range(3)]
+    vectors.append(3.0 * vectors[0] + 1j * rng.standard_normal(ch.output_dim))
+    product = [ch.adjoint_rank_one(a) for a in vectors]
+    ch.cache_lifts()
+    for a, by_product in zip(vectors, product):
+        direct = sum(
+            a[i] * np.conj(a[j]) * blocks[i].conj().T @ blocks[j]
+            for i in range(ch.output_dim)
+            for j in range(ch.output_dim)
+        )
+        gram = ch.adjoint_rank_one(a)
+        assert np.array_equal(gram, gram.conj().T)
+        scale = max(1.0, float(np.abs(direct).max()))
+        assert np.abs(gram - direct).max() <= 1e-12 * scale
+        assert np.abs(gram - by_product).max() <= 1e-12 * scale
 
 
 def _complement(ch):

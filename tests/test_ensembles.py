@@ -11,6 +11,7 @@ from channel_limits import (
     haar_isometry,
     haar_unitary,
     sample_density_matrix,
+    sample_gauged_mixed_unitary_channel,
     sample_mixed_unitary_channel,
     sample_projective_povm,
     sample_pure_state,
@@ -173,6 +174,37 @@ def test_mixed_unitary_sampler_consistency():
     for i in range(3):
         direct = w[i] * np.trace(us[i] @ rho.matrix @ us[i].conj().T)
         assert abs(out.matrix[i, i] - direct) <= 1e-12
+
+
+def test_gauged_sampler_fixes_the_first_unitary_and_draws_the_rest():
+    w = np.array([0.2, 0.3, 0.5])
+    ch = sample_gauged_mixed_unitary_channel(3, 4, w, stream(9, 0))
+    # U_1 = I, then k - 1 unitaries in order from the stream it is given
+    draws = stream(9, 0)
+    us = [np.eye(4), *(haar_unitary(4, draws) for _ in range(2))]
+    assert np.array_equal(ch.isometry, MixedUnitaryChannel(w, us).isometry)
+    with pytest.raises(DimensionMismatchError):
+        sample_gauged_mixed_unitary_channel(2, 4, w, stream(9, 0))
+
+
+@pytest.mark.parametrize("k, n", [(2, 6), (3, 40), (4, 25)])
+def test_gauged_channel_keeps_lift_spectra_and_outputs(k, n):
+    # from the same draws U_1..U_k: the channel of U_i U_1* has every lift
+    # unitarily conjugate to the old one, and maps U_1 x where the old one
+    # maps x
+    rng = stream(19, k)
+    w = rng.dirichlet(np.ones(k))
+    us = [haar_unitary(n, rng) for _ in range(k)]
+    ungauged = MixedUnitaryChannel(w, us)
+    gauged = MixedUnitaryChannel(w, [u @ us[0].conj().T for u in us])
+    assert np.abs(gauged.isometry[:n] - np.sqrt(w[0]) * np.eye(n)).max() <= 1e-12
+    for _ in range(3):
+        a = sample_pure_state(k, rng)
+        old = np.linalg.eigvalsh(ungauged.adjoint_rank_one(a))
+        new = np.linalg.eigvalsh(gauged.adjoint_rank_one(a))
+        assert np.abs(old - new).max() <= 1e-12
+        x = sample_pure_state(n, rng)
+        assert np.abs(ungauged.apply_pure(x) - gauged.apply_pure(us[0] @ x)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("k, n", [(3, 800)])

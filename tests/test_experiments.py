@@ -21,6 +21,7 @@ from channel_limits.config import (
 from channel_limits import experiments
 from channel_limits.channels import make_depolarizing
 from channel_limits.ensembles import (
+    sample_gauged_mixed_unitary_channel,
     sample_mixed_unitary_channel,
     sample_pure_state,
     sample_stinespring_channel,
@@ -171,11 +172,25 @@ def test_explicit_rank_one_probe_lifts_its_matrix():
     )
     cfg = parse_config_text(text)
     (record,) = run_experiment(cfg)
-    channel = sample_mixed_unitary_channel(2, 12, cfg.weights, stream(4, 0))
+    channel = sample_gauged_mixed_unitary_channel(2, 12, cfg.weights, stream(4, 0))
     matrix = DensityMatrix(cfg.probe_array()).matrix
     probe = probe_top_eigenvalues(channel, matrix, 3)
     assert record.values == (*probe.eigenvalues, probe.spread)
     assert record.target is not None
+
+
+def test_explicit_probe_is_resolved_once_and_shared_read_only():
+    text = (
+        "experiment = weyl-invariance\nk = 2\nweights = 0.25, 0.75\n"
+        "probe = explicit\nprobeMatrix = 0.7,0 ; 0.1,0.2 ; 0.1,-0.2 ; 0.3,0\n"
+        "nGrid = 8, 12\ntrials = 4\nmasterSeed = 6\n"
+    )
+    cfg = parse_config_text(text)
+    serial = render_csv(run_experiment(cfg, threads=1))
+    assert render_csv(run_experiment(cfg, threads=4)) == serial
+    matrix, coeff = experiments._explicit_probe(cfg)
+    assert coeff is None and not matrix.flags.writeable
+    assert experiments._explicit_probe(cfg)[0] is matrix
 
 
 def test_psistar_sweep_tracks_piecewise_curve():
@@ -266,6 +281,34 @@ def test_monte_carlo_runs_match_golden_files(stem):
     )
 
 
+GOLDEN_ASCENTS = ("norm_limit", "stinespring_peak", "output_cloud")
+
+
+@pytest.mark.parametrize("stem", GOLDEN_ASCENTS)
+def test_golden_ascent_restarts_all_converge(stem, tmp_path, capsys):
+    # a capped restart pins the optimizer's path, not a local maximum, so
+    # every restart of the pinned ascent configs reaches its gradient tol
+    cfg = load_config(str(GOLDEN_DIR / f"{stem}.cfg"))
+    restarts = len(cfg.n_grid) * cfg.trials * cfg.restarts
+    out = tmp_path / f"{stem}.csv"
+    assert cli_main(["run", str(GOLDEN_DIR / f"{stem}.cfg"), "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert f"[channel-limits] ascent: 0 of {restarts} restarts capped" in err
+    _assert_csv_within_golden_tolerance(
+        out.read_text(), (GOLDEN_DIR / f"{stem}.csv").read_text()
+    )
+
+
+def test_cli_reports_capped_restarts_only_for_ascent_runs(tmp_path, capsys):
+    capped = _golden_text("norm_limit").replace("iterCap = 50", "iterCap = 2")
+    assert cli_main(["run", _write(tmp_path, "capped.cfg", capped), "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert "[channel-limits] ascent: 8 of 8 restarts capped" in captured.err.splitlines()
+    assert captured.out.startswith("experiment,")
+    assert cli_main(["run", _write(tmp_path, "cm.cfg", CM_TEXT), "--out", "-"]) == 0
+    assert "ascent:" not in capsys.readouterr().err
+
+
 def test_fast_configs_reproduce_committed_results():
     # the configs that run in seconds; the closed-form sweep is exact, the
     # Monte-Carlo runs are held to the golden tolerance
@@ -306,6 +349,18 @@ def test_cli_stdout_mode(tmp_path, capsys):
     assert code == 0
     parsed = json.loads(captured.out)
     assert len(parsed) == 3
+
+
+def test_cli_pins_mmap_threshold_only_for_a_worker_pool(tmp_path, monkeypatch):
+    from channel_limits import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_pin_mmap_threshold", lambda: calls.append(1))
+    cfg_path = _write(tmp_path, "sweep.cfg", SWEEP_TEXT)
+    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "a.csv")]) == 0
+    assert calls == []
+    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "b.csv"), "--threads", "2"]) == 0
+    assert calls == [1]
 
 
 def test_cli_seed_override_changes_nothing_for_closed_form_sweep(tmp_path):

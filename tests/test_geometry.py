@@ -18,6 +18,7 @@ from channel_limits import (
     norm_ascent,
     probe_top_eigenvalues,
     sample_density_matrix,
+    sample_gauged_mixed_unitary_channel,
     sample_mixed_unitary_channel,
     sample_pure_state,
     sample_unit_norm_povm,
@@ -224,19 +225,23 @@ def test_weyl_twirl_collapses_to_maximally_mixed():
 def test_probe_statistics_invariant_under_weyl_rotation():
     # top adjoint eigenvalues for A and WAW* share a law; compare sample
     # means across independent channels at n = 600 within five joint
-    # standard errors
+    # standard errors.  A needs off-diagonal entries: for a diagonal A,
+    # Phi*(A) = (sum_i w_i A_ii) I and every sample is the same constant.
     k, n, samples = 2, 600, 50
     w = weyl_operator(1, 1, k)
-    a = np.diag([0.8, 0.2])
+    v = np.array([0.6, 0.8j])
+    a = np.outer(v, v.conj())
     rotated = w @ a @ w.conj().T
+    assert np.abs(np.diag(rotated) - [0.64, 0.36]).max() <= 1e-15
     rng = stream(10, 0)
     vals = np.empty(samples)
     vals_rot = np.empty(samples)
     for i in range(samples):
-        ch = sample_mixed_unitary_channel(k, n, np.full(k, 1 / k), rng)
+        ch = sample_gauged_mixed_unitary_channel(k, n, np.full(k, 1 / k), rng)
         vals[i] = probe_top_eigenvalues(ch, a, 1).top
-        ch2 = sample_mixed_unitary_channel(k, n, np.full(k, 1 / k), rng)
+        ch2 = sample_gauged_mixed_unitary_channel(k, n, np.full(k, 1 / k), rng)
         vals_rot[i] = probe_top_eigenvalues(ch2, rotated, 1).top
+    assert min(vals.std(), vals_rot.std()) > 1e-9
     se = np.hypot(
         vals.std(ddof=1) / np.sqrt(samples), vals_rot.std(ddof=1) / np.sqrt(samples)
     )
