@@ -23,7 +23,6 @@ from .ensembles import (
     haar_isometry,
     haar_unitary,
     sample_density_matrix,
-    sample_gauged_mixed_unitary_channel,
     sample_mixed_unitary_channel,
     sample_projective_povm,
     sample_pure_state,

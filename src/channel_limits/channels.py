@@ -31,11 +31,11 @@ from .errors import (
 from .linalg import (
     DensityMatrix,
     as_complex_matrix,
+    checked_state,
     hermiticity_defect,
     hermitize,
     normalize_states,
     partial_trace_right,
-    state_matrix,
     unit_rows,
 )
 
@@ -296,11 +296,14 @@ class MixedUnitaryChannel(StinespringChannel):
 
 
 class EBChannel(Channel):
-    """Measure-and-prepare channel X -> sum_i Tr[X M_i] sigma_i."""
+    """Measure-and-prepare channel X -> sum_i Tr[X M_i] sigma_i.
+
+    Each sigma_i is a DensityMatrix, or a raw array checked as one.
+    """
 
     def __init__(self, povm, states):
         ms = validate_povm(povm)
-        sts = [state_matrix(s) for s in states]
+        sts = [checked_state(s) for s in states]
         if len(sts) != ms.shape[0]:
             raise DimensionMismatchError("one output state required per POVM element")
         k = sts[0].shape[0]

@@ -8,11 +8,11 @@ of how many other trials run or on which threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MixedUnitaryChannel, StinespringChannel, validate_weights
+from .channels import MixedUnitaryChannel, StinespringChannel
 from .errors import DimensionMismatchError
 from .linalg import DensityMatrix, row_norms
 
@@ -92,49 +92,24 @@ def sample_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix.normalized(m / np.trace(m).real)
 
 
-def _k_weights(k: int, weights) -> np.ndarray:
-    w = validate_weights(weights)
-    if w.size != k:
-        raise DimensionMismatchError(f"need {k} weights, got {w.size}")
-    return w
-
-
 def sample_mixed_unitary_channel(
     k: int, n: int, weights, rng: np.random.Generator
 ) -> MixedUnitaryChannel:
-    """k independent Haar unitaries on C^n with the given weights."""
-    w = _k_weights(k, weights)
-    us = [haar_unitary(n, rng) for _ in range(k)]
-    return MixedUnitaryChannel(w, us, _validated=True)
+    """Channel of k i.i.d. Haar unitaries on C^n: U_1 = I, then k - 1 Haar draws.
 
+    The channel of U_1..U_k with weights w has output entries
 
-def sample_gauged_mixed_unitary_channel(
-    k: int, n: int, weights, rng: np.random.Generator
-) -> MixedUnitaryChannel:
-    """U_1 = I and k - 1 independent Haar unitaries on C^n, with the given weights.
+        sqrt(w_i w_j) Tr[U_i X U_j*] = sqrt(w_i w_j) Tr[(U_1* U_i) X (U_1* U_j)*]
 
-    As a random channel this is not `sample_mixed_unitary_channel`, but its
-    output set, and every quantity the experiments read from it, has the
-    same law, at one Haar draw fewer.  Let Phi be the channel of Haar
-    unitaries U_1..U_k and Psi the channel of U_i U_1* (whose first unitary
-    is I), with the same weights.
-
-    * Psi(X) = Phi(U_1* X U_1), so Psi = Phi o Ad(U_1*).  Ad(U_1*) maps the
-      states onto themselves, and pure states onto pure states, so Psi and
-      Phi have the same output set and the same sup over pure inputs.
-    * Psi*(A) = U_1 Phi*(A) U_1*, so each adjoint lift of Psi is unitarily
-      conjugate to that of Phi and has the same spectrum.
-    * Given U_1, the products U_i U_1* (i >= 2) are independent, each Haar
-      by the right invariance of Haar measure.  That conditional law does
-      not depend on U_1, so they are i.i.d. Haar outright.
-
-    So the k - 1 unitaries drawn here have the law of U_i U_1*, and every
-    function of the output set or of the lift spectra has the law it has
-    under `sample_mixed_unitary_channel`.
+    by the cyclicity of the trace, so it is the same map as the channel of
+    I, U_1* U_2, ..., U_1* U_k.  For i.i.d. Haar U_1..U_k and given U_1,
+    the products U_1* U_i (i >= 2) are i.i.d. Haar by the left invariance
+    of Haar measure; that law does not depend on U_1, so it is their law
+    outright.  Drawing them directly gives the law of the k-unitary
+    channel, as a random map, at one Haar draw fewer.
     """
-    w = _k_weights(k, weights)
     us = [np.eye(n, dtype=np.complex128)] + [haar_unitary(n, rng) for _ in range(k - 1)]
-    return MixedUnitaryChannel(w, us, _validated=True)
+    return MixedUnitaryChannel(weights, us, _validated=True)
 
 
 def sample_stinespring_channel(
@@ -151,7 +126,6 @@ class StinespringRegime:
 
     k: int
     t: float
-    n_grid: tuple[int, ...] = field(default_factory=tuple)
 
     def input_dim(self, n: int) -> int:
         return max(1, int(round(self.t * n * self.k)))
@@ -182,8 +156,8 @@ def sample_unit_norm_povm(
     strictly inside (0, 1) while keeping its 1-eigenspace.
     """
     dims = [int(d) for d in block_dims]
-    if any(d <= 0 for d in dims) or slack_dim < 0:
-        raise DimensionMismatchError("block dimensions must be positive")
+    if not dims or any(d <= 0 for d in dims) or slack_dim < 0:
+        raise DimensionMismatchError("need at least one block, and positive block dimensions")
     n = sum(dims) + slack_dim
     u = haar_unitary(n, rng)
     povm = []

@@ -24,7 +24,7 @@ from .config import ExperimentConfig
 from .ensembles import (
     StinespringRegime,
     sample_density_matrix,
-    sample_gauged_mixed_unitary_channel,
+    sample_mixed_unitary_channel,
     sample_projective_povm,
     sample_pure_state,
     sample_stinespring_channel,
@@ -71,11 +71,11 @@ _log = logging.getLogger(__name__)
 
 
 def _build_channel(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> Channel:
-    # every runner reads a mixed-unitary channel only through its output set
-    # and lift spectra, whose law the gauge U_1 = I keeps
+    # Tr[U_i X U_j*] = Tr[(U_1* U_i) X (U_1* U_j)*], so the sampler's U_1 = I
+    # gives the same random map as k i.i.d. Haar unitaries
     kind = cfg.channel_kind()
     if kind == "mixed-unitary":
-        return sample_gauged_mixed_unitary_channel(cfg.k, n, cfg.weights, rng)
+        return sample_mixed_unitary_channel(cfg.k, n, cfg.weights, rng)
     if kind == "stinespring":
         return StinespringRegime(cfg.k, cfg.t).sample(n, rng)
     return make_depolarizing(cfg.k, n)

@@ -79,6 +79,8 @@ class NormAscent:
 
 # Armijo sufficient-increase constant of the backtracking line search
 _ARMIJO = 1e-4
+# gradient norm at which a restart has converged
+_GRADIENT_TOL = 1e-8
 
 
 def _to_real(v: np.ndarray) -> np.ndarray:
@@ -105,7 +107,7 @@ def _evaluate(channel: Channel, a: np.ndarray):
     return f, out_a - f * a, x, out
 
 
-def _sphere_bfgs(channel: Channel, a: np.ndarray, iter_cap: int, tol: float):
+def _sphere_bfgs(channel: Channel, a: np.ndarray, iter_cap: int):
     """One restart of Riemannian BFGS from the unit vector a.
 
     Returns (accepted values, x, Phi(xx*), evaluations, converged, |g|)
@@ -117,7 +119,7 @@ def _sphere_bfgs(channel: Channel, a: np.ndarray, iter_cap: int, tol: float):
     h = eye
     while True:
         g_norm = float(np.linalg.norm(g))
-        if g_norm <= tol:
+        if g_norm <= _GRADIENT_TOL:
             return values, x, out, evaluations, True, g_norm
         p = _to_complex(h @ _to_real(g))
         p -= a * np.vdot(a, p)
@@ -141,9 +143,9 @@ def _sphere_bfgs(channel: Channel, a: np.ndarray, iter_cap: int, tol: float):
         if f_new <= f:
             # near a maximum f stops rising at rounding level; a tie still
             # ends the restart converged when the trial point's gradient
-            # norm is at most tol
+            # norm is at most _GRADIENT_TOL
             g_new_norm = float(np.linalg.norm(g_new))
-            if f_new == f and g_new_norm <= tol:
+            if f_new == f and g_new_norm <= _GRADIENT_TOL:
                 return values, x_new, out_new, evaluations, True, g_new_norm
             return values, x, out, evaluations, False, g_norm
         # carry the step and the old gradient to the tangent space at b
@@ -164,7 +166,6 @@ def norm_ascent(
     rng: np.random.Generator,
     restarts: int = 10,
     iter_cap: int = 200,
-    tol: float = 1e-8,
 ) -> NormAscent:
     """Maximize <a| Phi(x x*) |a> over unit a in C^k and unit x in C^N.
 
@@ -179,11 +180,11 @@ def norm_ascent(
     act on one channel, so it first keeps what makes them cheap
     (`Channel.cache_lifts`).
 
-    A restart has converged once its gradient norm is at most `tol`.
+    A restart has converged once its gradient norm is at most 1e-8.
     `iter_cap` caps its evaluations, line-search trials included.  A
     restart also stops when an accepted step fails to raise f: it ends
     converged at the new point when f is unchanged to the last bit and
-    the new gradient norm is at most `tol`, and unconverged at the old
+    the new gradient norm is at most 1e-8, and unconverged at the old
     point otherwise.  It stops unconverged when the step shrinks below
     rounding, and it never moves to a lower f.
 
@@ -203,7 +204,7 @@ def norm_ascent(
     channel.cache_lifts()
     for _ in range(restarts):
         a = sample_pure_state(channel.output_dim, rng)
-        values, x, out, count, done, g_norm = _sphere_bfgs(channel, a, iter_cap, tol)
+        values, x, out, count, done, g_norm = _sphere_bfgs(channel, a, iter_cap)
         value = float(hermitian_eigs(out).eigenvalues[0])
         outputs.append(DensityMatrix.normalized(out))
         evaluations.append(count)

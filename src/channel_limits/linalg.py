@@ -230,6 +230,11 @@ def state_matrix(state, *, stack: bool = False) -> np.ndarray:
     return as_complex_matrix(state, stack=stack)
 
 
+def checked_state(state) -> np.ndarray:
+    """The matrix of a DensityMatrix, or of a raw array that passes DensityMatrix's checks."""
+    return (state if isinstance(state, DensityMatrix) else DensityMatrix(state)).matrix
+
+
 def _floor_check(vals: np.ndarray, what: str) -> None:
     """Raise when an ascending spectrum, or any in a stack, dips below the floor."""
     low = float(np.min(vals[..., 0])) if vals.size else 0.0

@@ -34,7 +34,7 @@ from .errors import (
     OutOfRangeError,
     ZeroVectorError,
 )
-from .linalg import HERMITIAN_TOL, hermiticity_defect, state_matrix, unit_vector
+from .linalg import HERMITIAN_TOL, checked_state, hermiticity_defect, state_matrix, unit_vector
 
 _BISECTION_STEPS = 90
 
@@ -199,13 +199,16 @@ def rank_one_limit(coefficients, weights) -> float:
 
 
 def eb_limit(observable, states) -> float:
-    """Limit value max_i Tr[A sigma_i] for measure-and-prepare channels."""
+    """Limit value max_i Tr[A sigma_i] for measure-and-prepare channels.
+
+    Each sigma_i is a DensityMatrix, or a raw array checked as one.
+    """
     a = state_matrix(observable)
     if hermiticity_defect(a) > HERMITIAN_TOL:
         raise NonHermitianError("observable must be Hermitian")
     if len(states) == 0:
         raise DimensionMismatchError("need at least one output state")
-    vals = [float(np.trace(a @ state_matrix(s)).real) for s in states]
+    vals = [float(np.trace(a @ checked_state(s)).real) for s in states]
     return max(vals)
 
 

@@ -195,7 +195,7 @@ def test_07_monte_carlo_spectral_convergence():
 def test_08_peak_eigenvalue_of_random_isometries():
     """8. sphere ascent at k=2, t=0.3, n=400 lands within 5% of the peak value"""
     with _Budget(300.0):
-        regime = StinespringRegime(k=2, t=0.3, n_grid=(400,))
+        regime = StinespringRegime(k=2, t=0.3)
         assert regime.input_dim(400) == 240
         target = stinespring_peak_eigenvalue(2, 0.3)
         values = []

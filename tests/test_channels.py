@@ -10,12 +10,12 @@ from channel_limits import (
     EBChannel,
     MixedUnitaryChannel,
     StinespringChannel,
+    eb_limit,
     haar_unitary,
     hermitian_eigenvalues,
     make_depolarizing,
     make_pinching,
     sample_density_matrix,
-    sample_gauged_mixed_unitary_channel,
     sample_mixed_unitary_channel,
     sample_projective_povm,
     sample_pure_state,
@@ -46,6 +46,15 @@ def _nonzero_spectrum(m, tol=1e-9):
 
 def _hs(a, b):
     return complex(np.trace(a.conj().T @ b))
+
+
+def _haar_mixed_unitary(weights, n, rng):
+    """Channel of len(weights) Haar unitaries on C^n, built by the checking constructor.
+
+    The sampler fixes U_1 = I, under which a kernel fault confined to the
+    first block would not show, so kernel checks draw U_1 too.
+    """
+    return MixedUnitaryChannel(weights, [haar_unitary(n, rng) for _ in weights])
 
 
 # ------------------------------------------------------------------ builders
@@ -160,6 +169,19 @@ def test_single_outcome_eb_channel_is_state_preparation():
     assert np.abs(out.matrix - np.eye(3) / 3).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "state",
+    [np.diag([2.0, 0.0]), np.array([[0.5, 0.5], [0.0, 0.5]]), np.diag([1.5, -0.5])],
+    ids=["trace-2", "non-hermitian", "negative-eigenvalue"],
+)
+def test_prepared_states_are_checked_where_they_enter(state):
+    # apply would renormalize the trace-2 output into a valid-looking state
+    with pytest.raises(InvalidDensityMatrixError):
+        EBChannel([np.eye(2)], [state])
+    with pytest.raises(InvalidDensityMatrixError):
+        eb_limit(np.eye(2) / 2, [state])
+
+
 # ------------------------------------------------------------------ adjoints
 
 
@@ -190,7 +212,7 @@ def test_eb_adjoint_closed_form():
 @settings(max_examples=25, deadline=None)
 def test_adjoint_duality(seed):
     rng = np.random.default_rng(seed)
-    ch = sample_mixed_unitary_channel(3, 4, [0.2, 0.3, 0.5], rng)
+    ch = _haar_mixed_unitary([0.2, 0.3, 0.5], 4, rng)
     x = _random_hermitian(4, rng)
     a = _random_hermitian(3, rng)
     lhs = _hs(a, ch.apply_matrix(x))
@@ -209,7 +231,7 @@ def test_stinespring_adjoint_matches_dense_formula():
 def test_rank_one_fast_paths_match_generic():
     rng = np.random.default_rng(30)
     channels = [
-        sample_mixed_unitary_channel(3, 5, [0.2, 0.3, 0.5], rng),
+        _haar_mixed_unitary([0.2, 0.3, 0.5], 5, rng),
         sample_stinespring_channel(2, 4, 6, rng),
         make_depolarizing(3, 4),
     ]
@@ -228,7 +250,7 @@ def _sample_channel(kind, rng):
     if kind == "stinespring":
         return sample_stinespring_channel(3, 4, 7, rng)
     if kind == "mixed-unitary":
-        return sample_mixed_unitary_channel(3, 5, [0.2, 0.3, 0.5], rng)
+        return _haar_mixed_unitary([0.2, 0.3, 0.5], 5, rng)
     if kind == "eb":
         povm = sample_projective_povm([1, 2, 2], rng)
         return EBChannel(povm, [sample_density_matrix(3, rng) for _ in povm])
@@ -318,8 +340,9 @@ def test_vector_forms_check_length_and_norm():
 def test_mixed_unitary_kernels_match_direct_index_sums():
     rng = np.random.default_rng(24)
     w = np.array([0.2, 0.3, 0.5])
-    us = [haar_unitary(4, rng) for _ in range(3)]
-    ch = MixedUnitaryChannel(w, us)
+    ch = _haar_mixed_unitary(w, 4, rng)
+    draws = np.random.default_rng(24)
+    us = [haar_unitary(4, draws) for _ in range(3)]
     assert isinstance(ch, StinespringChannel)
     blocks = ch.isometry.reshape(3, 4, 4)
     for i in range(3):
@@ -347,9 +370,9 @@ def test_gram_lift_matches_the_product_and_the_index_sum(kind):
     if kind == "stinespring":
         ch = sample_stinespring_channel(3, 4, 7, rng)
     elif kind == "mixed-unitary":
-        ch = sample_mixed_unitary_channel(3, 5, [0.2, 0.3, 0.5], rng)
+        ch = _haar_mixed_unitary([0.2, 0.3, 0.5], 5, rng)
     elif kind == "gauged-mixed-unitary":
-        ch = sample_gauged_mixed_unitary_channel(3, 5, [0.2, 0.3, 0.5], rng)
+        ch = sample_mixed_unitary_channel(3, 5, [0.2, 0.3, 0.5], rng)
     else:
         ch = sample_stinespring_channel(1, 6, 4, rng)
     blocks = ch.isometry.reshape(ch.output_dim, ch.env_dim, ch.input_dim)
@@ -431,7 +454,7 @@ def test_projection_compression_shares_spectrum_with_adjoint():
 def test_trace_preservation(seed):
     rng = np.random.default_rng(seed)
     channels = [
-        sample_mixed_unitary_channel(2, 3, [0.5, 0.5], rng),
+        _haar_mixed_unitary([0.5, 0.5], 3, rng),
         sample_stinespring_channel(2, 3, 4, rng),
         make_depolarizing(2, 3),
         make_pinching(3),
@@ -445,7 +468,7 @@ def test_complete_positivity_witness():
     # apply ch (x) id to a maximally entangled projector column by column
     rng = np.random.default_rng(31)
     for ch in (
-        sample_mixed_unitary_channel(2, 3, [0.4, 0.6], rng),
+        _haar_mixed_unitary([0.4, 0.6], 3, rng),
         sample_stinespring_channel(3, 2, 3, rng),
         make_pinching(3),
     ):

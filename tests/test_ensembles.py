@@ -11,7 +11,6 @@ from channel_limits import (
     haar_isometry,
     haar_unitary,
     sample_density_matrix,
-    sample_gauged_mixed_unitary_channel,
     sample_mixed_unitary_channel,
     sample_projective_povm,
     sample_pure_state,
@@ -164,9 +163,8 @@ def test_mixed_unitary_sampler_consistency():
     rng = stream(9, 0)
     w = np.full(3, 1.0 / 3.0)
     ch = sample_mixed_unitary_channel(3, 4, w, rng)
-    # the sampler draws its k unitaries in order from the stream it is given
     draws = stream(9, 0)
-    us = [haar_unitary(4, draws) for _ in range(3)]
+    us = [np.eye(4), *(haar_unitary(4, draws) for _ in range(2))]
     assert np.array_equal(ch.isometry, MixedUnitaryChannel(w, us).isometry)
     rho = sample_density_matrix(4, stream(9, 1))
     out = ch.apply(rho)
@@ -178,33 +176,41 @@ def test_mixed_unitary_sampler_consistency():
 
 def test_gauged_sampler_fixes_the_first_unitary_and_draws_the_rest():
     w = np.array([0.2, 0.3, 0.5])
-    ch = sample_gauged_mixed_unitary_channel(3, 4, w, stream(9, 0))
+    ch = sample_mixed_unitary_channel(3, 4, w, stream(9, 0))
     # U_1 = I, then k - 1 unitaries in order from the stream it is given
     draws = stream(9, 0)
     us = [np.eye(4), *(haar_unitary(4, draws) for _ in range(2))]
     assert np.array_equal(ch.isometry, MixedUnitaryChannel(w, us).isometry)
     with pytest.raises(DimensionMismatchError):
-        sample_gauged_mixed_unitary_channel(2, 4, w, stream(9, 0))
+        sample_mixed_unitary_channel(2, 4, w, stream(9, 0))
 
 
 @pytest.mark.parametrize("k, n", [(2, 6), (3, 40), (4, 25)])
 def test_gauged_channel_keeps_lift_spectra_and_outputs(k, n):
-    # from the same draws U_1..U_k: the channel of U_i U_1* has every lift
-    # unitarily conjugate to the old one, and maps U_1 x where the old one
-    # maps x
+    # the channel of Haar U_1..U_k and that of I, U_1* U_2, ..., U_1* U_k
+    # are one map, since Tr[U_i X U_j*] = Tr[(U_1* U_i) X (U_1* U_j)*]
     rng = stream(19, k)
     w = rng.dirichlet(np.ones(k))
     us = [haar_unitary(n, rng) for _ in range(k)]
-    ungauged = MixedUnitaryChannel(w, us)
-    gauged = MixedUnitaryChannel(w, [u @ us[0].conj().T for u in us])
-    assert np.abs(gauged.isometry[:n] - np.sqrt(w[0]) * np.eye(n)).max() <= 1e-12
-    for _ in range(3):
-        a = sample_pure_state(k, rng)
-        old = np.linalg.eigvalsh(ungauged.adjoint_rank_one(a))
-        new = np.linalg.eigvalsh(gauged.adjoint_rank_one(a))
-        assert np.abs(old - new).max() <= 1e-12
-        x = sample_pure_state(n, rng)
-        assert np.abs(ungauged.apply_pure(x) - gauged.apply_pure(us[0] @ x)).max() <= 1e-12
+    haar = MixedUnitaryChannel(w, us)
+    gauged = MixedUnitaryChannel(w, [np.eye(n), *(us[0].conj().T @ u for u in us[1:])])
+
+    def agree(f):
+        assert np.abs(f(haar) - f(gauged)).max() <= 1e-12
+
+    rho = sample_density_matrix(n, rng)
+    agree(lambda ch: ch.apply(rho).matrix)
+    xs = sample_pure_state(n, rng, 4)
+    agree(lambda ch: ch.apply_pure(xs))
+    y = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    agree(lambda ch: ch.adjoint_matrix(y))
+    vectors = [sample_pure_state(k, rng) for _ in range(3)]
+    for cached in (False, True):
+        if cached:
+            haar.cache_lifts()
+            gauged.cache_lifts()
+        for a in vectors:
+            agree(lambda ch: ch.adjoint_rank_one(a))
 
 
 @pytest.mark.parametrize("k, n", [(3, 800)])
@@ -214,7 +220,7 @@ def test_sampled_unitaries_meet_the_isometry_tolerance(k, n):
     w = np.full(k, 1.0 / k)
     ch = sample_mixed_unitary_channel(k, n, w, stream(15, n))
     draws = stream(15, n)
-    us = [haar_unitary(n, draws) for _ in range(k)]
+    us = [np.eye(n), *(haar_unitary(n, draws) for _ in range(k - 1))]
     assert np.array_equal(ch.isometry, MixedUnitaryChannel(w, us).isometry)
 
 
@@ -234,7 +240,7 @@ def test_stinespring_sampler_shapes():
 
 
 def test_stinespring_regime_input_dim():
-    regime = StinespringRegime(k=2, t=0.3, n_grid=(100, 400))
+    regime = StinespringRegime(k=2, t=0.3)
     assert regime.input_dim(400) == 240
     assert 1 <= regime.input_dim(2) <= 2 * 2
     ch = regime.sample(100, stream(1, 0))
@@ -264,3 +270,5 @@ def test_unit_norm_povm_sampler():
         vals = np.linalg.eigvalsh(m)
         assert abs(vals.max() - 1.0) <= 1e-10
         assert np.sum(vals > 1.0 - 1e-8) == d
+    with pytest.raises(DimensionMismatchError):
+        sample_unit_norm_povm([], 2, rng)

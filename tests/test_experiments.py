@@ -21,7 +21,6 @@ from channel_limits.config import (
 from channel_limits import experiments
 from channel_limits.channels import make_depolarizing
 from channel_limits.ensembles import (
-    sample_gauged_mixed_unitary_channel,
     sample_mixed_unitary_channel,
     sample_pure_state,
     sample_stinespring_channel,
@@ -172,7 +171,7 @@ def test_explicit_rank_one_probe_lifts_its_matrix():
     )
     cfg = parse_config_text(text)
     (record,) = run_experiment(cfg)
-    channel = sample_gauged_mixed_unitary_channel(2, 12, cfg.weights, stream(4, 0))
+    channel = sample_mixed_unitary_channel(2, 12, cfg.weights, stream(4, 0))
     matrix = DensityMatrix(cfg.probe_array()).matrix
     probe = probe_top_eigenvalues(channel, matrix, 3)
     assert record.values == (*probe.eigenvalues, probe.spread)

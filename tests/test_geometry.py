@@ -18,7 +18,6 @@ from channel_limits import (
     norm_ascent,
     probe_top_eigenvalues,
     sample_density_matrix,
-    sample_gauged_mixed_unitary_channel,
     sample_mixed_unitary_channel,
     sample_pure_state,
     sample_unit_norm_povm,
@@ -237,9 +236,9 @@ def test_probe_statistics_invariant_under_weyl_rotation():
     vals = np.empty(samples)
     vals_rot = np.empty(samples)
     for i in range(samples):
-        ch = sample_gauged_mixed_unitary_channel(k, n, np.full(k, 1 / k), rng)
+        ch = sample_mixed_unitary_channel(k, n, np.full(k, 1 / k), rng)
         vals[i] = probe_top_eigenvalues(ch, a, 1).top
-        ch2 = sample_gauged_mixed_unitary_channel(k, n, np.full(k, 1 / k), rng)
+        ch2 = sample_mixed_unitary_channel(k, n, np.full(k, 1 / k), rng)
         vals_rot[i] = probe_top_eigenvalues(ch2, rotated, 1).top
     assert min(vals.std(), vals_rot.std()) > 1e-9
     se = np.hypot(
