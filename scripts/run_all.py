@@ -4,7 +4,9 @@
 Usage: python scripts/run_all.py [--threads T] [--seed S] [--only NAME]
 
 Results land in results/<config-stem>.csv relative to the repository
-root.  Passing --only selects configs whose stem contains NAME.
+root.  Passing --only selects configs whose stem contains NAME.  Trials
+run on --threads workers, by default one per usable core; the worker
+count never changes the bytes.
 
 OPENBLAS_NUM_THREADS defaults to 1, the setting the committed results/
 were written with, so regenerated files compare byte for byte with them.
@@ -25,9 +27,17 @@ from channel_limits.cli import main as cli_main  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def usable_cores() -> int:
+    """Cores this process may run on, or the machine's count where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=usable_cores())
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--only", default=None)
     args = parser.parse_args()

@@ -160,6 +160,17 @@ class Channel:
         v = np.asarray(vector, dtype=np.complex128).reshape(-1)
         return hermitize(self.adjoint_matrix(np.outer(v, v.conj())))
 
+    def adjoint_matrix_units(self, x: np.ndarray) -> np.ndarray:
+        """Phi*(E_ij) x for every matrix unit E_ij = e_i e_j* of the output side.
+
+        Returned as a (k, k, N) array.  This generic form lifts each of the
+        k^2 units in turn.
+        """
+        e = np.eye(self.output_dim, dtype=np.complex128)
+        return np.array(
+            [[self.adjoint_matrix(np.outer(ei, ej)) @ x for ej in e] for ei in e]
+        )
+
     def cache_lifts(self) -> None:
         """Prepare for many `adjoint_rank_one` calls; the generic lift keeps nothing."""
 
@@ -229,6 +240,13 @@ class StinespringChannel(Channel):
         b = np.tensordot(a.conj(), v, axes=(0, 0))
         return hermitize(b.conj().T @ b)
 
+    def adjoint_matrix_units(self, x: np.ndarray) -> np.ndarray:
+        # Phi*(E_ij) x = V_i* (V x)_j, taken as conj(conj(V x)_j V_i) so that
+        # no conjugate copy of V is made
+        v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
+        y = (self.isometry @ x).reshape(self.output_dim, self.env_dim)
+        return np.matmul(y.conj(), v).conj()
+
     def cache_lifts(self) -> None:
         """Keep the Gram blocks G_ij = V_i* V_j (i <= j) of the output blocks V_i.
 
@@ -291,8 +309,16 @@ class MixedUnitaryChannel(StinespringChannel):
         self.isometry = blocks.reshape(w.size * n, n)
 
     def _gram_block(self, v: np.ndarray, i: int, j: int):
-        # V_i* V_i = w_i U_i* U_i = w_i I: a scalar, with no product or storage
-        return float(self.weights[i]) if i == j else super()._gram_block(v, i, j)
+        # V_i* V_i = w_i U_i* U_i = w_i I: a scalar, with no product or storage.
+        # When U_i = I, V_i = sqrt(w_i) I and V_i* V_j = sqrt(w_i) V_j, which
+        # is also the product's value bit for bit: each of its entries sums
+        # one nonzero term and exact zeros
+        if i == j:
+            return float(self.weights[i])
+        scale = np.sqrt(self.weights[i])
+        if np.count_nonzero(v[i]) == self.env_dim and np.all(np.diagonal(v[i]) == scale):
+            return scale * v[j]
+        return super()._gram_block(v, i, j)
 
 
 class EBChannel(Channel):

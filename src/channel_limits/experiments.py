@@ -269,7 +269,7 @@ def _run_psistar_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 def _log_ascents(cfg: ExperimentConfig, ascents: list[NormAscent]) -> None:
     """Log one line on the restarts of the config's ascents that did not converge.
 
-    Such a restart is capped when it used all `iterCap` evaluations, and
+    Such a restart is capped when it used all `iterCap` full evaluations, and
     stalled when it stopped before.
     """
     restarts = [(n, done) for a in ascents for n, done in zip(a.evaluations, a.converged)]

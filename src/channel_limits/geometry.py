@@ -1,14 +1,17 @@
 """Probing the geometry of channel output sets.
 
 Tools to compare finite-dimensional samples against their limiting
-descriptions: top-eigenvalue probes of the adjoint action, a Riemannian
-BFGS ascent on the output-side sphere for the 1 -> infinity norm, Weyl
-conjugations, and entropy statistics of output clouds.
+descriptions: top-eigenvalue probes of the adjoint action, a
+subspace-accelerated Riemannian BFGS ascent on the output-side sphere
+for the 1 -> infinity norm, Weyl conjugations, and entropy statistics of
+output clouds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from .linalg import (
     DensityMatrix,
     hermitian_eigenvalues,
     hermitian_eigs,
+    hermitize,
     state_matrix,
     von_neumann_entropy,
 )
@@ -65,7 +69,9 @@ class NormAscent:
 
     `value`, `input_vector` and `trajectory` belong to the best restart;
     `outputs`, `evaluations`, `converged` and `gradient_norms` hold one
-    entry per restart, in restart order.
+    entry per restart, in restart order.  `evaluations` counts full
+    evaluations (lift, top eigenpair, forward map), not the steps on the
+    restart's Ritz space.
     """
 
     value: float
@@ -81,6 +87,14 @@ class NormAscent:
 _ARMIJO = 1e-4
 # gradient norm at which a restart has converged
 _GRADIENT_TOL = 1e-8
+# relative change of f within which two evaluations tie: evaluations of f
+# at points closer than rounding scatter by about 1e-15
+_TIE_TOL = 1e-14
+# evaluations of one BFGS run on the Ritz space
+_REDUCED_CAP = 100
+# a new top lift vector whose part outside the Ritz space is at most this
+# is taken to lie in it
+_SPAN_TOL = 1e-10
 
 
 def _to_real(v: np.ndarray) -> np.ndarray:
@@ -107,20 +121,96 @@ def _evaluate(channel: Channel, a: np.ndarray):
     return f, out_a - f * a, x, out
 
 
-def _sphere_bfgs(channel: Channel, a: np.ndarray, iter_cap: int):
-    """One restart of Riemannian BFGS from the unit vector a.
+class _RitzSpace:
+    """Orthonormal basis P of top lift vectors and the reduced problem on span P.
 
-    Returns (accepted values, x, Phi(xx*), evaluations, converged, |g|)
-    at the last accepted point.
+    With the matrix units E_ij = e_i e_j*, the lift of aa* compressed to
+    span P is sum_ij a_i conj(a_j) H_ij for the p x p blocks
+    H_ij = P* Phi*(E_ij) P, and the output of x = P y has entries
+    <e_i| Phi(xx*) |e_j> = x* Phi*(E_ji) x = y* H_ji y.  So `evaluate`
+    touches nothing of size N, and `grow` extends every block by one row
+    and one column.
     """
-    f, g, x, out = _evaluate(channel, a)
+
+    def __init__(self, channel: Channel):
+        k = channel.output_dim
+        self.channel = channel
+        self.basis = np.zeros((channel.input_dim, 0), dtype=np.complex128)
+        self.blocks = np.zeros((k, k, 0, 0), dtype=np.complex128)
+
+    def grow(self, x: np.ndarray) -> bool:
+        """Add the part of x outside span P; False when it is rounding dust."""
+        p = self.basis
+        q = x
+        for _ in range(2):  # Gram-Schmidt twice keeps P orthonormal to rounding
+            q = q - p @ (p.conj().T @ q)
+        norm = float(np.linalg.norm(q))
+        if norm <= _SPAN_TOL:
+            return False
+        q /= norm
+        self.basis = np.column_stack([p, q])
+        # column m of H_ij is P* Phi*(E_ij) q; row m of H_ij is the conjugate
+        # of column m of H_ji, since Phi*(E_ij)* = Phi*(E_ji)
+        col = self.channel.adjoint_matrix_units(q) @ self.basis.conj()
+        k, _, m, _ = self.blocks.shape
+        blocks = np.empty((k, k, m + 1, m + 1), dtype=np.complex128)
+        blocks[:, :, :m, :m] = self.blocks
+        blocks[:, :, :, m] = col
+        blocks[:, :, m, :m] = col.conj().swapaxes(0, 1)[:, :, :m]
+        self.blocks = blocks
+        return True
+
+    def evaluate(self, a: np.ndarray):
+        """`_evaluate` on span P: f, gradient, y with x = P y, and Phi(xx*)."""
+        k, _, p, _ = self.blocks.shape
+        weights = np.outer(a, a.conj()).reshape(-1)
+        lifted = (weights @ self.blocks.reshape(k * k, p * p)).reshape(p, p)
+        y = np.linalg.eigh(hermitize(lifted))[1][:, -1]
+        out = ((self.blocks @ y) @ y.conj()).T
+        out_a = out @ a
+        f = float(np.vdot(a, out_a).real)
+        return f, out_a - f * a, y, out
+
+
+def _ties(point, f: float) -> bool:
+    """Whether an evaluation is a maximum to rounding: f within _TIE_TOL, |g| at most tol.
+
+    Near a maximum f changes by about |g|^2 per step, which drops below
+    the scatter of its evaluations as |g| nears 1e-8, so a line search
+    can no longer tell a better point from a worse one; the gradient can.
+    """
+    return point[0] >= f - _TIE_TOL * max(1.0, abs(f)) and (
+        float(np.linalg.norm(point[1])) <= _GRADIENT_TOL
+    )
+
+
+class _Run(NamedTuple):
+    """Where a BFGS run or a restart ended."""
+
+    values: list  # f at each accepted point
+    a: np.ndarray  # the last accepted point, or a trial point that tied it
+    point: tuple  # the evaluation (f, gradient, x, Phi(xx*)) at a
+    evaluations: int
+    converged: bool
+    h: np.ndarray  # inverse Hessian approximation, in real coordinates
+
+
+def _sphere_bfgs(evaluate, a: np.ndarray, iter_cap: int, point=None, h=None) -> _Run:
+    """Riemannian BFGS from the unit vector a, with f and its gradient from `evaluate`.
+
+    `point` is evaluate(a) when the caller has it already, and counts as
+    one of the `iter_cap` evaluations.  `h` is the starting inverse
+    Hessian approximation, the identity by default.
+    """
+    point = evaluate(a) if point is None else point
+    f, g = point[:2]
     evaluations, values = 1, [f]
     eye = np.eye(2 * a.shape[0])
-    h = eye
+    h = eye if h is None else h
     while True:
         g_norm = float(np.linalg.norm(g))
         if g_norm <= _GRADIENT_TOL:
-            return values, x, out, evaluations, True, g_norm
+            return _Run(values, a, point, evaluations, True, h)
         p = _to_complex(h @ _to_real(g))
         p -= a * np.vdot(a, p)
         slope = float(np.vdot(g, p).real)
@@ -132,22 +222,16 @@ def _sphere_bfgs(channel: Channel, a: np.ndarray, iter_cap: int):
         while evaluations < iter_cap and t * p_norm > np.finfo(float).eps:
             b = a + t * p
             b /= np.linalg.norm(b)
-            trial = _evaluate(channel, b)
+            trial = evaluate(b)
             evaluations += 1
-            if trial[0] >= f + _ARMIJO * t * slope:
+            if trial[0] > f and trial[0] >= f + _ARMIJO * t * slope:
                 break
+            if _ties(trial, f):
+                return _Run(values, b, trial, evaluations, True, h)
             t *= 0.5
         else:
-            return values, x, out, evaluations, False, g_norm
-        f_new, g_new, x_new, out_new = trial
-        if f_new <= f:
-            # near a maximum f stops rising at rounding level; a tie still
-            # ends the restart converged when the trial point's gradient
-            # norm is at most _GRADIENT_TOL
-            g_new_norm = float(np.linalg.norm(g_new))
-            if f_new == f and g_new_norm <= _GRADIENT_TOL:
-                return values, x_new, out_new, evaluations, True, g_new_norm
-            return values, x, out, evaluations, False, g_norm
+            return _Run(values, a, point, evaluations, False, h)
+        g_new = trial[1]
         # carry the step and the old gradient to the tangent space at b
         s = t * p
         s -= b * np.vdot(b, s)
@@ -157,8 +241,47 @@ def _sphere_bfgs(channel: Channel, a: np.ndarray, iter_cap: int):
             rs, ry = _to_real(s), _to_real(y)
             v = eye - np.outer(rs, ry) / sy
             h = v @ h @ v.T + np.outer(rs, rs) / sy
-        a, f, g, x, out = b, f_new, g_new, x_new, out_new
+        a, point, f, g = b, trial, trial[0], g_new
         values.append(f)
+
+
+def _subspace_restart(channel: Channel, a: np.ndarray, iter_cap: int) -> _Run:
+    """One restart: BFGS on a growing Ritz space, full evaluations to grow and certify it.
+
+    Each outer step maximizes f on span P from the current point, with
+    the BFGS approximation carried over from the last step, and makes
+    one full evaluation at the reduced maximizer.  Its f is at least the
+    reduced maximum there (the reduced maximum is a Rayleigh quotient of
+    the full lift), which is at least the current f, since P holds the
+    current top lift vector.
+    """
+    full = partial(_evaluate, channel)
+    space = _RitzSpace(channel)
+    point = full(a)
+    values, evaluations, h = [point[0]], 1, None
+    while (
+        float(np.linalg.norm(point[1])) > _GRADIENT_TOL
+        and evaluations < iter_cap
+        and space.grow(point[2])
+    ):
+        reduced = _sphere_bfgs(space.evaluate, a, _REDUCED_CAP, h=h)
+        h = reduced.h
+        if reduced.a is a:  # the reduced run took no step
+            break
+        trial = full(reduced.a)
+        evaluations += 1
+        if trial[0] > point[0]:
+            values.append(trial[0])
+        elif not _ties(trial, point[0]):
+            break
+        a, point = reduced.a, trial
+    # full-space steps from the last point: none when it has converged or
+    # used the cap, otherwise they finish a restart whose Ritz space
+    # stopped growing or whose Ritz step stopped rising
+    tail = _sphere_bfgs(full, a, iter_cap - evaluations + 1, point, h)
+    return tail._replace(
+        values=values + tail.values[1:], evaluations=evaluations + tail.evaluations - 1
+    )
 
 
 def norm_ascent(
@@ -171,22 +294,35 @@ def norm_ascent(
 
     For fixed a the best x is the top eigenvector of the adjoint lift of
     aa*, so the problem is to maximize f(a) = lambda_max(Phi*(aa*)) over
-    the unit sphere of C^k modulo phase.  Each restart draws a start a
-    and runs Riemannian BFGS on that sphere with Armijo backtracking and
-    normalization as the retraction (Absil, Mahony & Sepulchre,
-    Optimization Algorithms on Matrix Manifolds, 2008, ch. 4 and 8).  One
-    evaluation of f costs one lift, one top eigenpair and one forward
-    map, and also gives the gradient Phi(xx*) a - f a.  The lifts all
-    act on one channel, so it first keeps what makes them cheap
-    (`Channel.cache_lifts`).
+    the unit sphere of C^k modulo phase.  One full evaluation of f costs
+    one lift, one top eigenpair and one forward map, and also gives the
+    gradient Phi(xx*) a - f a.  The lifts all act on one channel, so it
+    first keeps what makes them cheap (`Channel.cache_lifts`).
 
-    A restart has converged once its gradient norm is at most 1e-8.
-    `iter_cap` caps its evaluations, line-search trials included.  A
-    restart also stops when an accepted step fails to raise f: it ends
-    converged at the new point when f is unchanged to the last bit and
-    the new gradient norm is at most 1e-8, and unconverged at the old
-    point otherwise.  It stops unconverged when the step shrinks below
-    rounding, and it never moves to a lower f.
+    Each restart draws a start a and runs a subspace method (Kangal,
+    Meerbergen, Mengi & Michiels, A subspace method for large-scale
+    eigenvalue optimization, SIAM J. Matrix Anal. Appl. 39, 2018): it
+    keeps an orthonormal basis P of the top lift vectors of its full
+    evaluations, maximizes the reduced f_P(a) = lambda_max(P* Phi*(aa*) P)
+    by Riemannian BFGS on the sphere with Armijo backtracking and
+    normalization as the retraction (Absil, Mahony & Sepulchre,
+    Optimization Algorithms on Matrix Manifolds, 2008, ch. 4 and 8), and
+    makes one full evaluation at the reduced maximizer, whose top lift
+    vector joins P.  f_P is at most f everywhere and equals it at the
+    current point, so every accepted full value exceeds the last.  The
+    BFGS approximation carries over from one reduced problem to the next.
+
+    A restart has converged once its full gradient norm is at most 1e-8.
+    `iter_cap` caps its full evaluations.  When a new top lift vector
+    lies in span P to within 1e-10, the reduced BFGS takes no step, or a
+    full value fails to rise, the restart goes on with the same BFGS
+    steps on the full f from its last point, line-search trials counted
+    against `iter_cap`; those stop unconverged when the step shrinks
+    below rounding.  Wherever f is
+    within 1e-14 relative of the last accepted value at a point whose
+    gradient norm is at most 1e-8, the restart ends converged there: so
+    close to a maximum a line search can no longer tell a better point
+    from a worse one.  It never moves to a lower f by more than that.
 
     The reported value of a restart is the top eigenvalue of Phi(xx*) at
     its last point: the value of the best a for that x, so it is
@@ -204,16 +340,17 @@ def norm_ascent(
     channel.cache_lifts()
     for _ in range(restarts):
         a = sample_pure_state(channel.output_dim, rng)
-        values, x, out, count, done, g_norm = _sphere_bfgs(channel, a, iter_cap)
+        run = _subspace_restart(channel, a, iter_cap)
+        _, g, x, out = run.point
         value = float(hermitian_eigs(out).eigenvalues[0])
         outputs.append(DensityMatrix.normalized(out))
-        evaluations.append(count)
-        converged.append(done)
-        gradient_norms.append(g_norm)
+        evaluations.append(run.evaluations)
+        converged.append(run.converged)
+        gradient_norms.append(float(np.linalg.norm(g)))
         if value > best_value:
             best_value = value
             best_x = x
-            best_traj = (*values, value)
+            best_traj = (*run.values, value)
     return NormAscent(
         best_value,
         best_x,

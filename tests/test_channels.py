@@ -394,6 +394,62 @@ def test_gram_lift_matches_the_product_and_the_index_sum(kind):
         assert np.abs(gram - by_product).max() <= 1e-12 * scale
 
 
+def _count_gram_products(monkeypatch):
+    """Record the (i, j) of every Gram block formed as a product."""
+    products = []
+    product_block = StinespringChannel._gram_block
+
+    def counting(self, blocks, i, j):
+        products.append((i, j))
+        return product_block(self, blocks, i, j)
+
+    monkeypatch.setattr(StinespringChannel, "_gram_block", counting)
+    return products
+
+
+def test_identity_unitary_gram_blocks_equal_the_product_bit_for_bit(monkeypatch):
+    # U_2 = I, detected from the unitary: V_2* V_j = sqrt(w_2) V_j takes no
+    # product, and equals the product's value bit for bit
+    rng = np.random.default_rng(26)
+    us = [haar_unitary(6, rng), np.eye(6), haar_unitary(6, rng)]
+    ch = MixedUnitaryChannel([0.2, 0.3, 0.5], us)
+    v = ch.isometry.reshape(3, 6, 6)
+    products = _count_gram_products(monkeypatch)
+    ch.cache_lifts()
+    assert products == [(0, 1), (0, 2)]
+    for i, j, g in ch._gram:
+        if i != j:
+            assert np.array_equal(g, v[i].conj().T @ v[j])
+    # the lifts are those of the product blocks
+    vectors = [sample_pure_state(3, rng) for _ in range(3)]
+    lifts = [ch.adjoint_rank_one(a) for a in vectors]
+    ch._gram = [(i, j, g if i == j else v[i].conj().T @ v[j]) for i, j, g in ch._gram]
+    for a, lift in zip(vectors, lifts):
+        assert np.array_equal(lift, ch.adjoint_rank_one(a))
+
+
+def test_sampled_first_unitary_takes_no_gram_product(monkeypatch):
+    ch = sample_mixed_unitary_channel(3, 5, [0.2, 0.3, 0.5], np.random.default_rng(27))
+    products = _count_gram_products(monkeypatch)
+    ch.cache_lifts()
+    assert products == [(1, 2)]
+
+
+@pytest.mark.parametrize("kind", ["stinespring", "mixed-unitary", "eb", "depolarizing"])
+def test_adjoint_matrix_units_match_the_lifted_units(kind):
+    rng = np.random.default_rng(28)
+    ch = _sample_channel(kind, rng)
+    x = sample_pure_state(ch.input_dim, rng)
+    got = ch.adjoint_matrix_units(x)
+    k = ch.output_dim
+    assert got.shape == (k, k, ch.input_dim)
+    for i in range(k):
+        for j in range(k):
+            unit = np.zeros((k, k), dtype=np.complex128)
+            unit[i, j] = 1.0
+            assert np.abs(got[i, j] - ch.adjoint_matrix(unit) @ x).max() <= 1e-12
+
+
 def _complement(ch):
     """The complementary channel: the isometry with its two factors swapped."""
     v = ch.isometry.reshape(ch.output_dim, ch.env_dim, ch.input_dim)
