@@ -49,6 +49,8 @@ def validate_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size == 0:
         raise BadWeightsError("empty weight vector")
+    if not np.all(np.isfinite(w)):
+        raise BadWeightsError("weights must be finite")
     if np.any(w <= 0.0):
         raise BadWeightsError("weights must be strictly positive")
     if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
@@ -59,7 +61,7 @@ def validate_weights(weights) -> np.ndarray:
 def _check_isometry(v: np.ndarray) -> None:
     """Raise unless V*V = I within ISOMETRY_TOL; for square V, unitarity."""
     defect = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
-    if defect > ISOMETRY_TOL:
+    if not defect <= ISOMETRY_TOL:  # a NaN defect fails too
         raise NotUnitaryError(f"isometry defect {defect:.3e} exceeds {ISOMETRY_TOL:.1e}")
 
 

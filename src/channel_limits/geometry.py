@@ -10,7 +10,6 @@ output clouds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
 )
 from .linalg import (
     DensityMatrix,
+    _top_eigenpair,
     hermitian_eigenvalues,
     hermitian_eigs,
     hermitize,
@@ -106,19 +106,25 @@ def _to_complex(r: np.ndarray) -> np.ndarray:
     return r[:k] + 1j * r[k:]
 
 
+def _value_and_gradient(out: np.ndarray, a: np.ndarray):
+    """f = <a| out |a> and the horizontal gradient out a - f a."""
+    out_a = out @ a
+    f = float(np.vdot(a, out_a).real)
+    return f, out_a - f * a
+
+
 def _evaluate(channel: Channel, a: np.ndarray):
     """f(a) = lambda_max(Phi*(aa*)), its horizontal gradient, x and Phi(xx*).
 
     x is the top eigenvector of the lift, so f(a) = <a| Phi(xx*) |a>, and
     by the envelope theorem Phi(xx*) a - f a is the gradient on the unit
     sphere (up to a factor 2), orthogonal to both a and the phase i a.
+    The lift is exactly Hermitian and a fresh array, so it goes to the
+    eigensolver unchecked, which may overwrite it.
     """
-    lifted = channel.adjoint_rank_one(a)
-    x = hermitian_eigs(lifted, top=True).eigenvectors[:, 0]
+    x = _top_eigenpair(channel.adjoint_rank_one(a)).eigenvectors[:, 0]
     out = channel.apply_pure(x)
-    out_a = out @ a
-    f = float(np.vdot(a, out_a).real)
-    return f, out_a - f * a, x, out
+    return (*_value_and_gradient(out, a), x, out)
 
 
 class _RitzSpace:
@@ -167,9 +173,7 @@ class _RitzSpace:
         lifted = (weights @ self.blocks.reshape(k * k, p * p)).reshape(p, p)
         y = np.linalg.eigh(hermitize(lifted))[1][:, -1]
         out = ((self.blocks @ y) @ y.conj()).T
-        out_a = out @ a
-        f = float(np.vdot(a, out_a).real)
-        return f, out_a - f * a, y, out
+        return (*_value_and_gradient(out, a), y, out)
 
 
 def _ties(point, f: float) -> bool:
@@ -185,32 +189,29 @@ def _ties(point, f: float) -> bool:
 
 
 class _Run(NamedTuple):
-    """Where a BFGS run or a restart ended."""
+    """Where a restart ended."""
 
     values: list  # f at each accepted point
-    a: np.ndarray  # the last accepted point, or a trial point that tied it
-    point: tuple  # the evaluation (f, gradient, x, Phi(xx*)) at a
+    point: tuple  # the evaluation (f, gradient, x, Phi(xx*)) at the last one
     evaluations: int
-    converged: bool
-    h: np.ndarray  # inverse Hessian approximation, in real coordinates
 
 
-def _sphere_bfgs(evaluate, a: np.ndarray, iter_cap: int, point=None, h=None) -> _Run:
+def _sphere_bfgs(evaluate, a: np.ndarray, h):
     """Riemannian BFGS from the unit vector a, with f and its gradient from `evaluate`.
 
-    `point` is evaluate(a) when the caller has it already, and counts as
-    one of the `iter_cap` evaluations.  `h` is the starting inverse
-    Hessian approximation, the identity by default.
+    `h` is the starting inverse Hessian approximation, the identity when
+    None.  Makes at most _REDUCED_CAP evaluations.  Returns the end point
+    (the last accepted point, or a trial point that tied it) and the
+    inverse Hessian approximation there, in real coordinates.
     """
-    point = evaluate(a) if point is None else point
-    f, g = point[:2]
-    evaluations, values = 1, [f]
+    f, g = evaluate(a)[:2]
+    evaluations = 1
     eye = np.eye(2 * a.shape[0])
     h = eye if h is None else h
     while True:
         g_norm = float(np.linalg.norm(g))
         if g_norm <= _GRADIENT_TOL:
-            return _Run(values, a, point, evaluations, True, h)
+            return a, h
         p = _to_complex(h @ _to_real(g))
         p -= a * np.vdot(a, p)
         slope = float(np.vdot(g, p).real)
@@ -219,7 +220,7 @@ def _sphere_bfgs(evaluate, a: np.ndarray, iter_cap: int, point=None, h=None) -> 
         p_norm = float(np.linalg.norm(p))
         t = 1.0
         # backtrack from t = 1; the else branch runs when no trial passed
-        while evaluations < iter_cap and t * p_norm > np.finfo(float).eps:
+        while evaluations < _REDUCED_CAP and t * p_norm > np.finfo(float).eps:
             b = a + t * p
             b /= np.linalg.norm(b)
             trial = evaluate(b)
@@ -227,10 +228,10 @@ def _sphere_bfgs(evaluate, a: np.ndarray, iter_cap: int, point=None, h=None) -> 
             if trial[0] > f and trial[0] >= f + _ARMIJO * t * slope:
                 break
             if _ties(trial, f):
-                return _Run(values, b, trial, evaluations, True, h)
+                return b, h
             t *= 0.5
         else:
-            return _Run(values, a, point, evaluations, False, h)
+            return a, h
         g_new = trial[1]
         # carry the step and the old gradient to the tangent space at b
         s = t * p
@@ -241,8 +242,7 @@ def _sphere_bfgs(evaluate, a: np.ndarray, iter_cap: int, point=None, h=None) -> 
             rs, ry = _to_real(s), _to_real(y)
             v = eye - np.outer(rs, ry) / sy
             h = v @ h @ v.T + np.outer(rs, rs) / sy
-        a, point, f, g = b, trial, trial[0], g_new
-        values.append(f)
+        a, f, g = b, trial[0], g_new
 
 
 def _subspace_restart(channel: Channel, a: np.ndarray, iter_cap: int) -> _Run:
@@ -255,33 +255,25 @@ def _subspace_restart(channel: Channel, a: np.ndarray, iter_cap: int) -> _Run:
     the full lift), which is at least the current f, since P holds the
     current top lift vector.
     """
-    full = partial(_evaluate, channel)
     space = _RitzSpace(channel)
-    point = full(a)
+    point = _evaluate(channel, a)
     values, evaluations, h = [point[0]], 1, None
     while (
         float(np.linalg.norm(point[1])) > _GRADIENT_TOL
         and evaluations < iter_cap
         and space.grow(point[2])
     ):
-        reduced = _sphere_bfgs(space.evaluate, a, _REDUCED_CAP, h=h)
-        h = reduced.h
-        if reduced.a is a:  # the reduced run took no step
+        b, h = _sphere_bfgs(space.evaluate, a, h)
+        if b is a:  # the reduced run took no step
             break
-        trial = full(reduced.a)
+        trial = _evaluate(channel, b)
         evaluations += 1
         if trial[0] > point[0]:
             values.append(trial[0])
         elif not _ties(trial, point[0]):
             break
-        a, point = reduced.a, trial
-    # full-space steps from the last point: none when it has converged or
-    # used the cap, otherwise they finish a restart whose Ritz space
-    # stopped growing or whose Ritz step stopped rising
-    tail = _sphere_bfgs(full, a, iter_cap - evaluations + 1, point, h)
-    return tail._replace(
-        values=values + tail.values[1:], evaluations=evaluations + tail.evaluations - 1
-    )
+        a, point = b, trial
+    return _Run(values, point, evaluations)
 
 
 def norm_ascent(
@@ -312,17 +304,15 @@ def norm_ascent(
     current point, so every accepted full value exceeds the last.  The
     BFGS approximation carries over from one reduced problem to the next.
 
-    A restart has converged once its full gradient norm is at most 1e-8.
-    `iter_cap` caps its full evaluations.  When a new top lift vector
-    lies in span P to within 1e-10, the reduced BFGS takes no step, or a
-    full value fails to rise, the restart goes on with the same BFGS
-    steps on the full f from its last point, line-search trials counted
-    against `iter_cap`; those stop unconverged when the step shrinks
-    below rounding.  Wherever f is
-    within 1e-14 relative of the last accepted value at a point whose
-    gradient norm is at most 1e-8, the restart ends converged there: so
-    close to a maximum a line search can no longer tell a better point
-    from a worse one.  It never moves to a lower f by more than that.
+    A restart ends converged once its full gradient norm is at most 1e-8.
+    It ends unconverged when it has made `iter_cap` full evaluations
+    (capped), or earlier (stalled) when a new top lift vector lies in
+    span P to within 1e-10, the reduced BFGS takes no step, or a full
+    value fails to rise.  A full value within 1e-14 relative of the last
+    accepted one at a point whose gradient norm is at most 1e-8 is
+    accepted, and the restart ends converged there: so close to a
+    maximum a line search can no longer tell a better point from a worse
+    one.  It never moves to a lower f by more than that.
 
     The reported value of a restart is the top eigenvalue of Phi(xx*) at
     its last point: the value of the best a for that x, so it is
@@ -343,10 +333,11 @@ def norm_ascent(
         run = _subspace_restart(channel, a, iter_cap)
         _, g, x, out = run.point
         value = float(hermitian_eigs(out).eigenvalues[0])
+        g_norm = float(np.linalg.norm(g))
         outputs.append(DensityMatrix.normalized(out))
         evaluations.append(run.evaluations)
-        converged.append(run.converged)
-        gradient_norms.append(float(np.linalg.norm(g)))
+        converged.append(g_norm <= _GRADIENT_TOL)
+        gradient_norms.append(g_norm)
         if value > best_value:
             best_value = value
             best_x = x
@@ -408,6 +399,6 @@ def holevo_from_smin(dim: int, smin: float) -> float:
     if dim < 1:
         raise OutOfRangeError("dim must be positive")
     cap = float(np.log(dim))
-    if smin < -1e-12 or smin > cap + 1e-9:
+    if not -1e-12 <= smin <= cap + 1e-9:  # a NaN smin fails too
         raise OutOfRangeError(f"smin = {smin} outside [0, ln {dim}]")
     return cap - min(max(smin, 0.0), cap)

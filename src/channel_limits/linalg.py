@@ -55,7 +55,7 @@ def unit_rows(vectors) -> np.ndarray:
     """Coerce to a complex array whose rows (last axis) have norm 1 within 1e-12."""
     v = np.asarray(vectors, dtype=np.complex128)
     norms = row_norms(v)
-    bad = np.abs(norms - 1.0) > 1e-12
+    bad = ~(np.abs(norms - 1.0) <= 1e-12)  # a NaN norm fails too
     if np.any(bad):
         nrm = float(norms[bad][0])
         raise NotUnitVectorError(f"norm {nrm!r} differs from 1 beyond 1e-12")
@@ -103,20 +103,15 @@ class EigenSystem(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def hermitian_eigs(m, *, top: bool = False) -> EigenSystem:
+def hermitian_eigs(m) -> EigenSystem:
     """Eigensystem of a Hermitian matrix, eigenvalues descending.
 
-    Ties keep the solver's ordering.  With `top=True` only the largest
-    eigenvalue and one unit eigenvector for it are returned (one value,
-    one column), which costs less than the full solve.  Raises
-    NonHermitianError when the input is further than 1e-10 from Hermitian
-    in max norm, and NoConvergenceError when the underlying solver gives
-    up or the top eigenvector misses its residual bound.
+    Ties keep the solver's ordering.  Raises NonHermitianError when the
+    input is further than 1e-10 from Hermitian in max norm, and
+    NoConvergenceError when the underlying solver gives up.
     """
     h = _hermitian_part(m)
     try:
-        if top:
-            return _top_eigenpair(h)
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergenceError(str(exc)) from exc
@@ -126,23 +121,30 @@ def hermitian_eigs(m, *, top: bool = False) -> EigenSystem:
 def _top_eigenpair(h: np.ndarray) -> EigenSystem:
     """Top eigenpair of the Hermitian `h` (overwritten) by shifted inverse iteration.
 
-    The eigenvalue comes from `eigvalsh`, which skips the back-transformation
-    that makes `eigh` about twice as expensive.  The vector comes from two
-    solves with h - sigma I, sigma just above the top eigenvalue, from a
-    start vector fixed by the dimension (as LAPACK's ?stein does), so the
-    result does not depend on any caller's random stream.  One solve leaves
-    errors near 1e-12 when the top of the spectrum is clustered; two bring
-    them to rounding level.
+    Returns one value and one unit eigenvector column, which costs less
+    than the full solve.  `h` is not checked, so callers pass a fresh
+    array that is Hermitian by construction.  The eigenvalue comes from
+    `eigvalsh`, which skips the back-transformation that makes `eigh`
+    about twice as expensive.  The vector comes from two solves with
+    h - sigma I, sigma just above the top eigenvalue, from a start vector
+    fixed by the dimension (as LAPACK's ?stein does), so the result does
+    not depend on any caller's random stream.  One solve leaves errors
+    near 1e-12 when the top of the spectrum is clustered; two bring them
+    to rounding level.  Raises NoConvergenceError when LAPACK gives up or
+    the vector misses its residual bound.
     """
     n = h.shape[0]
-    lam = float(np.linalg.eigvalsh(h)[-1])
-    tol = 1e-12 * max(1.0, abs(lam))
-    sigma = lam + tol
-    x = np.random.default_rng(n).standard_normal(n).astype(np.complex128)
-    h.flat[:: n + 1] -= sigma
-    for _ in range(2):
-        x = np.linalg.solve(h, x)
-        x /= np.linalg.norm(x)
+    try:
+        lam = float(np.linalg.eigvalsh(h)[-1])
+        tol = 1e-12 * max(1.0, abs(lam))
+        sigma = lam + tol
+        x = np.random.default_rng(n).standard_normal(n).astype(np.complex128)
+        h.flat[:: n + 1] -= sigma
+        for _ in range(2):
+            x = np.linalg.solve(h, x)
+            x /= np.linalg.norm(x)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
     # h now holds h - sigma I, so h x + (sigma - lam) x = (h_orig - lam I) x
     residual = float(np.linalg.norm(h @ x + (sigma - lam) * x))
     if not residual <= tol:

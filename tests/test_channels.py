@@ -67,6 +67,8 @@ def test_validate_weights_rejects_bad_vectors():
         validate_weights([1.0, 0.0])
     with pytest.raises(BadWeightsError):
         validate_weights([1.2, -0.2])
+    with pytest.raises(BadWeightsError, match="finite"):
+        validate_weights([np.nan, np.nan])
 
 
 def test_validate_povm_rejects_non_resolution():
@@ -101,6 +103,8 @@ def test_constructors_reject_tampered_haar_draws():
 def test_stinespring_rejects_non_isometry():
     with pytest.raises(NotUnitaryError):
         StinespringChannel(np.ones((4, 2)), 2, 2)
+    with pytest.raises(NotUnitaryError, match="nan"):
+        StinespringChannel(np.full((4, 2), np.nan), 2, 2)
     with pytest.raises(DimensionMismatchError):
         StinespringChannel(np.eye(4), 2, 3)
 

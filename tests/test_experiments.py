@@ -391,16 +391,21 @@ def test_cli_config_error_is_exit_one(tmp_path, capsys):
     assert "config error" in captured.err
 
 
-def test_cli_weights_off_by_rounding_are_exit_one(tmp_path, capsys):
-    # the sum 0.9999999999 misses 1 by more than the weight tolerance
-    text = (
-        "experiment = norm-limit\nk = 3\n"
-        "weights = 0.3333333333, 0.3333333333, 0.3333333333\nnGrid = 4\n"
-    )
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        # the sum 0.9999999999 misses 1 by more than the weight tolerance
+        ("0.3333333333, 0.3333333333, 0.3333333333", "weights sum to 0.9999999999, not 1"),
+        ("nan, nan, nan", "weights: weights must be finite"),
+    ],
+    ids=["rounding", "nan"],
+)
+def test_cli_weights_off_by_rounding_are_exit_one(tmp_path, capsys, weights, message):
+    text = f"experiment = norm-limit\nk = 3\nweights = {weights}\nnGrid = 4\n"
     code = cli_main(["run", _write(tmp_path, "w.cfg", text), "--out", "-"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "weights sum to 0.9999999999, not 1" in captured.err
+    assert message in captured.err
 
 
 def _golden_text(stem):

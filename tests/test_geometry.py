@@ -1,6 +1,8 @@
 """Output-set probes: spectral probes, the sphere norm ascent, Weyl
 operators, entropy summaries."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from channel_limits import (
     weyl_twirl,
 )
 from channel_limits import geometry
+from channel_limits.cli import main as cli_main
 from channel_limits.errors import (
     EmptySampleError,
     OutOfRangeError,
@@ -224,9 +227,10 @@ def test_ascent_passes_the_maximum_a_full_space_search_stalls_below():
     _assert_attained(ch, res)
 
 
-def test_full_space_steps_finish_a_restart_whose_ritz_space_stops_growing(monkeypatch):
+def test_a_restart_whose_ritz_space_stops_growing_ends_stalled(monkeypatch, tmp_path, capsys):
     # with every new top lift vector taken to lie in span P, the Ritz space
-    # keeps only the first one, and full-space BFGS steps do the rest
+    # keeps only the first one, and the restart ends unconverged below the
+    # cap, where its Ritz steps end
     monkeypatch.setattr(geometry, "_SPAN_TOL", 0.999)
     grown = []
     grow = geometry._RitzSpace.grow
@@ -239,9 +243,14 @@ def test_full_space_steps_finish_a_restart_whose_ritz_space_stops_growing(monkey
     ch = StinespringRegime(2, 0.3).sample(100, stream(12, 0))
     res = norm_ascent(ch, stream(12, 1), restarts=1, iter_cap=60)
     assert grown == [True, False]
-    assert res.converged == (True,)
-    assert 2 < res.evaluations[0] < 60
+    assert res.converged == (False,)
+    assert res.evaluations[0] < 60
     _assert_attained(ch, res)
+    # the CLI counts such restarts as stalled, apart from the capped ones
+    cfg = Path(__file__).parent / "golden" / "stinespring_peak.cfg"
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path / "peak.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "[channel-limits] ascent: 0 of 8 restarts capped, 8 stalled" in err
 
 
 def test_ascent_tracks_limit_at_large_dimension():
@@ -334,6 +343,8 @@ def test_holevo_from_smin_domain():
         holevo_from_smin(2, -0.5)
     with pytest.raises(OutOfRangeError):
         holevo_from_smin(2, 5.0)
+    with pytest.raises(OutOfRangeError):
+        holevo_from_smin(2, np.nan)
 
 
 def test_entropy_sandwich_on_sampled_outputs():

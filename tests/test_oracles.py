@@ -476,6 +476,8 @@ def test_rank_one_limit_requires_unit_vector():
 
     with pytest.raises(NotUnitVectorError):
         rank_one_limit([1.0, 1.0], [0.5, 0.5])
+    with pytest.raises(NotUnitVectorError):
+        rank_one_limit([np.nan, 1.0], [0.5, 0.5])
 
 
 # ------------------------------------------------------------------ eb limit
