@@ -113,16 +113,19 @@ def _value_and_gradient(out: np.ndarray, a: np.ndarray):
     return f, out_a - f * a
 
 
-def _evaluate(channel: Channel, a: np.ndarray):
+def _evaluate(channel: Channel, a: np.ndarray, start: np.ndarray | None = None):
     """f(a) = lambda_max(Phi*(aa*)), its horizontal gradient, x and Phi(xx*).
 
     x is the top eigenvector of the lift, so f(a) = <a| Phi(xx*) |a>, and
     by the envelope theorem Phi(xx*) a - f a is the gradient on the unit
     sphere (up to a factor 2), orthogonal to both a and the phase i a.
     The lift is exactly Hermitian and a fresh array, so it goes to the
-    eigensolver unchecked, which may overwrite it.
+    eigensolver unchecked.  A `start` near x (the Ritz vector at a) lets
+    the solver certify x from it; the lift stays intact until x is
+    certified or the solver has fallen back to its cold path, which may
+    overwrite it.
     """
-    x = _top_eigenpair(channel.adjoint_rank_one(a)).eigenvectors[:, 0]
+    x = _top_eigenpair(channel.adjoint_rank_one(a), start).eigenvectors[:, 0]
     out = channel.apply_pure(x)
     return (*_value_and_gradient(out, a), x, out)
 
@@ -201,17 +204,19 @@ def _sphere_bfgs(evaluate, a: np.ndarray, h):
 
     `h` is the starting inverse Hessian approximation, the identity when
     None.  Makes at most _REDUCED_CAP evaluations.  Returns the end point
-    (the last accepted point, or a trial point that tied it) and the
-    inverse Hessian approximation there, in real coordinates.
+    (the last accepted point, or a trial point that tied it), the inverse
+    Hessian approximation there, in real coordinates, and the evaluation
+    at the end point.
     """
-    f, g = evaluate(a)[:2]
+    point = evaluate(a)
+    f, g = point[:2]
     evaluations = 1
     eye = np.eye(2 * a.shape[0])
     h = eye if h is None else h
     while True:
         g_norm = float(np.linalg.norm(g))
         if g_norm <= _GRADIENT_TOL:
-            return a, h
+            return a, h, point
         p = _to_complex(h @ _to_real(g))
         p -= a * np.vdot(a, p)
         slope = float(np.vdot(g, p).real)
@@ -228,10 +233,10 @@ def _sphere_bfgs(evaluate, a: np.ndarray, h):
             if trial[0] > f and trial[0] >= f + _ARMIJO * t * slope:
                 break
             if _ties(trial, f):
-                return b, h
+                return b, h, trial
             t *= 0.5
         else:
-            return a, h
+            return a, h, point
         g_new = trial[1]
         # carry the step and the old gradient to the tangent space at b
         s = t * p
@@ -242,7 +247,7 @@ def _sphere_bfgs(evaluate, a: np.ndarray, h):
             rs, ry = _to_real(s), _to_real(y)
             v = eye - np.outer(rs, ry) / sy
             h = v @ h @ v.T + np.outer(rs, rs) / sy
-        a, f, g = b, trial[0], g_new
+        a, point, f, g = b, trial, trial[0], g_new
 
 
 def _subspace_restart(channel: Channel, a: np.ndarray, iter_cap: int) -> _Run:
@@ -253,7 +258,9 @@ def _subspace_restart(channel: Channel, a: np.ndarray, iter_cap: int) -> _Run:
     one full evaluation at the reduced maximizer.  Its f is at least the
     reduced maximum there (the reduced maximum is a Rayleigh quotient of
     the full lift), which is at least the current f, since P holds the
-    current top lift vector.
+    current top lift vector.  The Ritz vector P y of the reduced maximizer
+    is the warm start of that evaluation's eigensolve; the first
+    evaluation of a restart has none.
     """
     space = _RitzSpace(channel)
     point = _evaluate(channel, a)
@@ -263,10 +270,10 @@ def _subspace_restart(channel: Channel, a: np.ndarray, iter_cap: int) -> _Run:
         and evaluations < iter_cap
         and space.grow(point[2])
     ):
-        b, h = _sphere_bfgs(space.evaluate, a, h)
+        b, h, reduced = _sphere_bfgs(space.evaluate, a, h)
         if b is a:  # the reduced run took no step
             break
-        trial = _evaluate(channel, b)
+        trial = _evaluate(channel, b, space.basis @ reduced[2])
         evaluations += 1
         if trial[0] > point[0]:
             values.append(trial[0])

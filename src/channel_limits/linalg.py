@@ -118,21 +118,40 @@ def hermitian_eigs(m) -> EigenSystem:
     return EigenSystem(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
-def _top_eigenpair(h: np.ndarray) -> EigenSystem:
-    """Top eigenpair of the Hermitian `h` (overwritten) by shifted inverse iteration.
+# Rayleigh quotient iterations a warm start may take before the cold path
+_WARM_STEPS = 3
+
+
+def _top_eigenpair(h: np.ndarray, start: np.ndarray | None = None) -> EigenSystem:
+    """Top eigenpair of the Hermitian `h` (overwritten), warm from `start` if given.
 
     Returns one value and one unit eigenvector column, which costs less
     than the full solve.  `h` is not checked, so callers pass a fresh
-    array that is Hermitian by construction.  The eigenvalue comes from
-    `eigvalsh`, which skips the back-transformation that makes `eigh`
-    about twice as expensive.  The vector comes from two solves with
-    h - sigma I, sigma just above the top eigenvalue, from a start vector
-    fixed by the dimension (as LAPACK's ?stein does), so the result does
-    not depend on any caller's random stream.  One solve leaves errors
-    near 1e-12 when the top of the spectrum is clustered; two bring them
-    to rounding level.  Raises NoConvergenceError when LAPACK gives up or
-    the vector misses its residual bound.
+    array that is Hermitian by construction.
+
+    With a `start` vector near the answer, Rayleigh quotient iteration
+    from it makes at most _WARM_STEPS shifted solves, and its pair is
+    accepted once the residual is at most tol = 1e-12 max(1, |theta|) and
+    (theta + tol) I - h has a Cholesky factor: then some eigenvalue lies
+    within tol of theta and none above theta + tol, so the pair is the top
+    one to the tolerance the cold path meets.  Until the pair is
+    certified or refused `h` stays intact: each shift writes the saved
+    diagonal back, so the cold path sees the caller's `h` bit for bit.
+
+    The cold path takes the eigenvalue from `eigvalsh`, which skips the
+    back-transformation that makes `eigh` about twice as expensive, and
+    the vector from two solves with h - sigma I, sigma just above the top
+    eigenvalue, from a start vector fixed by the dimension (as LAPACK's
+    ?stein does), so the result does not depend on any caller's random
+    stream.  One solve leaves errors near 1e-12 when the top of the
+    spectrum is clustered; two bring them to rounding level.  Raises
+    NoConvergenceError when LAPACK gives up or the vector misses its
+    residual bound.
     """
+    if start is not None:
+        pair = _warm_top_eigenpair(h, start)
+        if pair is not None:
+            return pair
     n = h.shape[0]
     try:
         lam = float(np.linalg.eigvalsh(h)[-1])
@@ -150,6 +169,39 @@ def _top_eigenpair(h: np.ndarray) -> EigenSystem:
     if not residual <= tol:
         raise NoConvergenceError(f"top eigenvector residual {residual:.3e} > {tol:.1e}")
     return EigenSystem(np.array([lam]), x[:, None])
+
+
+def _warm_top_eigenpair(h: np.ndarray, start: np.ndarray) -> EigenSystem | None:
+    """The certified pair of `_top_eigenpair`'s warm path, or None to fall back.
+
+    Leaves `h` as it found it, bit for bit.
+    """
+    n = h.shape[0]
+    diag = h.diagonal().copy()
+    x = start / np.linalg.norm(start)
+    for step in range(_WARM_STEPS + 1):
+        hx = h @ x
+        theta = float(np.vdot(x, hx).real)
+        tol = 1e-12 * max(1.0, abs(theta))
+        if np.linalg.norm(hx - theta * x) <= tol:
+            break
+        if step == _WARM_STEPS:
+            return None
+        h.flat[:: n + 1] = diag - theta
+        try:
+            x = np.linalg.solve(h, x)
+        except np.linalg.LinAlgError:
+            return None
+        finally:
+            h.flat[:: n + 1] = diag
+        x /= np.linalg.norm(x)
+    bound = -h
+    bound.flat[:: n + 1] += theta + tol
+    try:
+        np.linalg.cholesky(bound)
+    except np.linalg.LinAlgError:
+        return None
+    return EigenSystem(np.array([theta]), x[:, None])
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

@@ -28,7 +28,7 @@ from channel_limits import (
     weyl_operator,
     weyl_twirl,
 )
-from channel_limits import geometry
+from channel_limits import geometry, linalg
 from channel_limits.cli import main as cli_main
 from channel_limits.errors import (
     EmptySampleError,
@@ -136,6 +136,38 @@ def test_ascent_converges_on_the_benchmark_isometry_config():
         assert max(res.gradient_norms) <= 1e-8
         assert len(res.evaluations) == len(res.gradient_norms) == 4
         _assert_attained(ch, res)
+
+
+def test_ascent_solves_cold_once_per_restart_on_the_benchmark_isometry_config(monkeypatch):
+    # every full evaluation after a restart's first starts from its Ritz
+    # vector, and only the first and the fallbacks run the cold path's
+    # eigvalsh: a slide back to the cold path on every evaluation would
+    # make about ten times the eigvalsh calls at this size
+    eigvalsh_calls, warm = [], []
+    eigvalsh = np.linalg.eigvalsh
+    warm_pair = linalg._warm_top_eigenpair
+
+    def counted_eigvalsh(*args, **kwargs):
+        eigvalsh_calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    def counted_warm_pair(h, start):
+        warm.append(warm_pair(h, start))
+        return warm[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(linalg, "_warm_top_eigenpair", counted_warm_pair)
+    regime = StinespringRegime(2, 0.3)
+    for seed in (901, 902, 903):
+        rng = stream(seed, 0)
+        ch = regime.sample(400, rng)
+        eigvalsh_calls.clear()
+        warm.clear()
+        res = norm_ascent(ch, rng, restarts=4, iter_cap=60)
+        assert len(warm) == sum(res.evaluations) - 4
+        fallbacks = sum(pair is None for pair in warm)
+        assert fallbacks <= len(warm) // 10  # measured: none at N = 240
+        assert len(eigvalsh_calls) == 4 + fallbacks
 
 
 def _top_vector(m):

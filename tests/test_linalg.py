@@ -24,7 +24,13 @@ from channel_limits.errors import (
     NonHermitianError,
     NotUnitVectorError,
 )
-from channel_limits.linalg import _top_eigenpair, row_norms, unit_rows, unit_vector
+from channel_limits.linalg import (
+    _top_eigenpair,
+    _warm_top_eigenpair,
+    row_norms,
+    unit_rows,
+    unit_vector,
+)
 
 
 def _random_hermitian(dim, rng):
@@ -74,13 +80,31 @@ def test_eigs_rejects_non_hermitian():
         hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def _assert_top_pair_matches_eigh(m):
+def _assert_top_pair_matches_eigh(m, start=None):
     want_vals, want_vecs = np.linalg.eigh(m)
-    top = _top_eigenpair(m.copy())
+    top = _top_eigenpair(m.copy(), start)
     assert top.eigenvalues.shape == (1,) and top.eigenvectors.shape == (len(m), 1)
     lam = want_vals[-1]
     assert abs(top.eigenvalues[0] - lam) <= 1e-13 * max(1.0, abs(lam))
     assert 1.0 - abs(np.vdot(top.eigenvectors[:, 0], want_vecs[:, -1])) <= 1e-12
+
+
+def _counting(monkeypatch, name):
+    # count the calls the kernel makes to np.linalg.<name>
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _perturbed_top_vector(m, rng, size):
+    x = np.linalg.eigh(m)[1][:, -1] + size * _random_unit_vector(len(m), rng)
+    return x / np.linalg.norm(x)
 
 
 def test_top_eigenpair_matches_full_solve():
@@ -96,11 +120,86 @@ def test_top_eigenpair_matches_full_solve_on_stinespring_lift():
     _assert_top_pair_matches_eigh(ch.adjoint_rank_one(sample_pure_state(2, rng)))
 
 
+def test_warm_top_eigenpair_matches_full_solve_on_stinespring_lift(monkeypatch):
+    # a start near the top vector, as the ascent's Ritz vector is, is
+    # certified without the cold path's eigvalsh
+    rng = stream(3, 0)
+    ch = StinespringRegime(2, 0.3).sample(400, rng)
+    lift = ch.adjoint_rank_one(sample_pure_state(2, rng))
+    start = _perturbed_top_vector(lift, np.random.default_rng(4), 1e-4)
+    eigvalsh = _counting(monkeypatch, "eigvalsh")
+    _assert_top_pair_matches_eigh(lift, start)
+    assert eigvalsh == []
+
+
+def test_warm_top_eigenpair_accepts_an_eigenvector_with_no_solve(monkeypatch):
+    m = _random_hermitian(30, np.random.default_rng(6))
+    start = np.linalg.eigh(m)[1][:, -1]
+    solves = _counting(monkeypatch, "solve")
+    eigvalsh = _counting(monkeypatch, "eigvalsh")
+    _assert_top_pair_matches_eigh(m, start)
+    assert solves == [] and eigvalsh == []
+
+
+def test_warm_top_eigenpair_refuses_a_lower_eigenvector(monkeypatch):
+    # Rayleigh quotient iteration from near a lower eigenvector converges
+    # there, the Cholesky certificate refuses the pair, and the shifted
+    # solves have left the caller's matrix bit for bit for the cold path
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(_random_hermitian(12, rng))[0]
+    m = hermitize((q * np.linspace(-1.0, 2.0, 12)) @ q.conj().T)
+    lower = np.linalg.eigh(m)[1][:, 3] + 1e-4 * _random_unit_vector(12, rng)
+    cold = _top_eigenpair(m.copy())
+    h = m.copy()
+    assert _warm_top_eigenpair(h, lower) is None
+    assert np.array_equal(h, m)
+    solves = _counting(monkeypatch, "solve")
+    cholesky = _counting(monkeypatch, "cholesky")
+    eigvalsh = _counting(monkeypatch, "eigvalsh")
+    warm = _top_eigenpair(m.copy(), lower)
+    assert len(solves) > 2  # the cold path's two and at least one shift
+    assert cholesky == ["cholesky"] and eigvalsh == ["eigvalsh"]
+    assert np.array_equal(warm.eigenvalues, cold.eigenvalues)
+    assert np.array_equal(warm.eigenvectors, cold.eigenvectors)
+    _assert_top_pair_matches_eigh(m, lower)
+
+
+def test_warm_top_eigenpair_falls_back_when_its_solve_fails(monkeypatch):
+    m = _random_hermitian(20, np.random.default_rng(8))
+    start = _perturbed_top_vector(m, np.random.default_rng(9), 1e-3)
+    solve = np.linalg.solve
+    calls = []
+
+    def singular_first(a, b):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_first)
+    eigvalsh = _counting(monkeypatch, "eigvalsh")
+    _assert_top_pair_matches_eigh(m, start)
+    assert eigvalsh == ["eigvalsh"] and len(calls) == 3
+
+
+_DEGENERATE = {"scalar": 2.5 * np.eye(4), "tied-top": np.diag([0.1, 0.9, -3.0, 0.9, 0.2])}
+
+
 @pytest.mark.parametrize(
-    "m", [2.5 * np.eye(4), np.diag([0.1, 0.9, -3.0, 0.9, 0.2])], ids=["scalar", "tied-top"]
+    "m, warm",
+    [(m, warm) for warm in (False, True) for m in _DEGENERATE.values()],
+    ids=[name + suffix for suffix in ("", "-warm") for name in _DEGENERATE],
 )
-def test_top_eigenpair_in_degenerate_top_eigenspace(m):
-    vals, vecs = _top_eigenpair(m.astype(np.complex128))
+def test_top_eigenpair_in_degenerate_top_eigenspace(m, warm, monkeypatch):
+    # a warm start near a mix of the tied top vectors is certified there
+    start = None
+    if warm:
+        rng = np.random.default_rng(10)
+        start = (np.diag(m) == np.max(np.diag(m))) * _random_unit_vector(len(m), rng)
+        start += 1e-3 * _random_unit_vector(len(m), rng)
+    eigvalsh = _counting(monkeypatch, "eigvalsh")
+    vals, vecs = _top_eigenpair(m.astype(np.complex128), start)
+    assert len(eigvalsh) == (not warm)
     x = vecs[:, 0]
     lam = np.max(np.diag(m))
     assert vals[0] == pytest.approx(lam, abs=1e-14)
