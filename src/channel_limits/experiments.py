@@ -15,7 +15,6 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,24 +95,9 @@ def _build_probe(
     if cfg.probe == "random-pure":
         a = sample_pure_state(cfg.k, rng)
         return a, a
-    return _explicit_probe(cfg)
-
-
-@lru_cache(maxsize=1)
-def _explicit_probe(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray | None]:
-    """The explicit probe's matrix and, when it is rank one, its top eigenvector.
-
-    Resolved once for all trials of a config, whose loading checked that
-    the matrix is a state.  The trials share the arrays, so they are read-only.
-    """
     mat = cfg.probe_array()
-    mat.flags.writeable = False
     vals, vecs = hermitian_eigs(mat)
-    if vals[0] < 1.0 - 1e-10:
-        return mat, None
-    coeff = vecs[:, 0]
-    coeff.flags.writeable = False
-    return mat, coeff
+    return mat, (vecs[:, 0] if vals[0] >= 1.0 - 1e-10 else None)
 
 
 def _rank_one_target(cfg: ExperimentConfig, coeff: np.ndarray | None) -> float | None:

@@ -5,11 +5,11 @@ unitaries.  For coefficients a it equals
 
     min_{x >= 0} [ 2x + sum_i (sqrt(x^2 + |a_i|^2) - x) ],
 
-a strictly convex one-dimensional problem solved here by bisection on
-the derivative (Akemann and Ostrand, 1976).  Its supremum over unit-norm
-coefficient vectors with a fixed per-coordinate scaling has an exact
-combinatorial description: each subset J of coordinates contributes a
-candidate value
+a strictly convex one-dimensional problem solved here by Newton's
+method on the derivative in u = 1/x^2 (Akemann and Ostrand, 1976).  Its
+supremum over unit-norm coefficient vectors with a fixed per-coordinate
+scaling has an exact combinatorial description: each subset J of
+coordinates contributes a candidate value
 
     h(J) = sqrt(beta - gamma (#J - 2)^2),
     beta = sum_{j in J} w_j,  gamma = (sum_{j in J} 1/w_j)^{-1},
@@ -36,34 +36,33 @@ from .errors import (
 )
 from .linalg import HERMITIAN_TOL, checked_state, hermiticity_defect, state_matrix, unit_vector
 
-_BISECTION_STEPS = 90
-
 
 def _derivative_roots(squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of F(x) = 2 - k + sum_i x / sqrt(x^2 + b_i) for rows of `squared`.
 
     Returns (values, roots) where values[r] is the minimum of the norm
     surrogate for row r.  Rows with F(0+) >= 0 sit at the boundary x = 0.
+    The others solve H(u) = 2 - k + sum_i (1 + b_i u)^(-1/2) = 0 in u = 1/x^2
+    with b scaled to max 1; H(0) = 2 and H is decreasing and convex, so
+    Newton from u = 0 rises to the root.
     """
     b = np.atleast_2d(np.asarray(squared, dtype=float))
     m, k = b.shape
-    active = 2.0 - k + (b == 0.0).sum(axis=1) < 0.0
-    # a boundary row starts with the bracket [0, 0], which never moves,
-    # so only the interior rows decide when the loop stops
-    lo = np.zeros(m)
-    hi = np.where(active, k * np.sqrt(np.max(b, axis=1)), 0.0)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        with np.errstate(invalid="ignore"):
-            f = 2.0 - k + np.sum(mid[:, None] / np.sqrt(mid[:, None] ** 2 + b), axis=1)
-        above = f > 0.0
-        new_hi = np.where(above, mid, hi)
-        new_lo = np.where(above, lo, mid)
-        # an unmoved bracket is a fixed point: further steps change nothing
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+    top = b.max(axis=1, keepdims=True)
+    # an entry under tiny * max b moves x by ~1e-154 sqrt(max b), but overflows u
+    zero = b <= np.finfo(float).tiny * top
+    active = 2.0 - k + zero.sum(axis=1) < 0.0
+    c = np.where(zero, 0.0, b)[active] / top[active]
+    u = np.zeros(len(c))
+    while True:
+        s = 1.0 + c * u[:, None]
+        h = 2.0 - k + np.sum(s**-0.5, axis=1)
+        new = u + 2.0 * h / np.sum(c * s**-1.5, axis=1)
+        if not np.any(new > u):
             break
-        lo, hi = new_lo, new_hi
-    x = 0.5 * (lo + hi)
+        u = np.maximum(u, new)
+    x = np.zeros(m)
+    x[active] = np.sqrt(top[active, 0] / u)
     values = (2.0 - k) * x + np.sum(np.sqrt(x[:, None] ** 2 + b), axis=1)
     return values, x
 

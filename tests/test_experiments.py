@@ -187,9 +187,9 @@ def test_explicit_probe_is_resolved_once_and_shared_read_only():
     cfg = parse_config_text(text)
     serial = render_csv(run_experiment(cfg, threads=1))
     assert render_csv(run_experiment(cfg, threads=4)) == serial
-    matrix, coeff = experiments._explicit_probe(cfg)
-    assert coeff is None and not matrix.flags.writeable
-    assert experiments._explicit_probe(cfg)[0] is matrix
+    # every trial resolves its own probe; this one is not rank one
+    matrix, coeff = experiments._build_probe(cfg, stream(6, 0))
+    assert coeff is None and np.array_equal(matrix, cfg.probe_array())
 
 
 def test_psistar_sweep_tracks_piecewise_curve():
