@@ -44,10 +44,6 @@ _READS = {
     },
 }
 
-EXPERIMENTS = tuple(_READS["experiment"])
-CHANNEL_KINDS = tuple(_READS["channel"])
-PROBES = tuple(_READS["probe"])
-
 _COMMON_KEYS = ("experiment", "k", "masterSeed", "outputPath")
 
 

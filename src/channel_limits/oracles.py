@@ -70,6 +70,8 @@ def _derivative_roots(squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def free_unitary_sum_norm(coefficients) -> float:
     """Limiting operator norm of sum_i a_i u_i for free Haar unitaries u_i."""
     a = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
+    if not np.all(np.isfinite(a)):
+        raise OutOfRangeError("coefficients must be finite")
     if a.size == 0 or not np.any(a != 0):
         raise ZeroVectorError("coefficient vector must be nonzero")
     values, _ = _derivative_roots(np.abs(a)[None, :] ** 2)
@@ -267,35 +269,37 @@ def one_heavy_sup_value(r: float) -> float:
     return (2.0 * np.sqrt(2.0) / 3.0) * np.sqrt(1.0 - r)
 
 
-def maximize_over_sphere(
-    scale,
-    rng: np.random.Generator,
-    starts: int = 50,
-    iters: int = 350,
-) -> tuple[float, np.ndarray]:
+_SPHERE_STARTS = 50
+
+
+def maximize_over_sphere(scale, rng: np.random.Generator) -> tuple[float, np.ndarray]:
     """Brute-force check of the subset formula: projected gradient ascent.
 
     Maximizes a -> free_unitary_sum_norm(a * scale) over the real unit
-    sphere from `starts` random starting points, with per-start adaptive
-    step sizes and monotone acceptance.  Returns (best value, best a).
-    Deliberately independent of the prefix scan.
+    sphere from 50 random starts, with per-start adaptive steps and
+    monotone acceptance, until a pass raises no start's value.  Each
+    value never falls and is bounded, and a pass that continues strictly
+    raises one of them, so only finitely many passes can run.  Returns
+    (best value, best a).  Deliberately independent of the prefix scan.
     """
     s = np.asarray(scale, dtype=float).reshape(-1)
-    if s.size == 0 or np.any(s < 0.0) or not np.any(s > 0.0):
-        raise OutOfRangeError("scale must be non-negative with a positive entry")
+    if s.size == 0 or not np.all(np.isfinite(s)) or np.any(s < 0.0) or not np.any(s > 0.0):
+        raise OutOfRangeError("scale must be finite and non-negative with a positive entry")
     k = s.size
-    a = rng.standard_normal((starts, k))
+    a = rng.standard_normal((_SPHERE_STARTS, k))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     s2 = s**2
     val, x = _derivative_roots(a**2 * s2)
-    step = np.full(starts, 0.3)
-    for _ in range(iters):
+    step = np.full(_SPHERE_STARTS, 0.3)
+    while True:
         denom = np.sqrt(x[:, None] ** 2 + a**2 * s2)
         grad = np.divide(s2 * a, denom, out=np.zeros_like(a), where=denom > 0)
         grad -= np.sum(grad * a, axis=1, keepdims=True) * a
         cand = a + step[:, None] * grad
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         cval, cx = _derivative_roots(cand**2 * s2)
+        if not np.any(cval > val):
+            break
         ok = cval >= val
         a[ok] = cand[ok]
         x[ok] = cx[ok]

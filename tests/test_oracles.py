@@ -2,6 +2,7 @@
 its supremum over the sphere against a test-side subset enumeration, and
 peak-eigenvalue formulas."""
 
+import random
 import warnings
 from itertools import combinations
 
@@ -226,14 +227,60 @@ def test_sphere_sup_matches_gradient_ascent():
         w = rng.random(k) + 0.05
         w /= w.sum()
         enumerated = sphere_sup(w).value
-        ascended, _ = maximize_over_sphere(np.sqrt(w), rng, starts=30, iters=300)
+        ascended, _ = maximize_over_sphere(np.sqrt(w), rng)
         assert ascended == pytest.approx(enumerated, abs=1e-6)
 
 
 def test_sphere_sup_flat_extremizer_is_flat():
     # the maximizer over a flat weight vector has no preferred coordinate
-    _, a = maximize_over_sphere(np.full(4, 0.5), stream(4, 0), starts=40, iters=400)
+    _, a = maximize_over_sphere(np.full(4, 0.5), stream(4, 0))
     assert np.abs(a).max() - np.abs(a).min() <= 1e-4
+
+
+def test_sphere_ascent_stops_once_no_start_rises(monkeypatch):
+    # acceptance #4's first weight vectors; one norm solve for the starts,
+    # then one per pass, and none of these ascents needs 350 passes
+    calls = []
+
+    def counted(squared):
+        calls.append(None)
+        return _derivative_roots(squared)
+
+    monkeypatch.setattr(oracles, "_derivative_roots", counted)
+    rng = stream(2024, 0)
+    for _ in range(5):
+        w = rng.random(2) + 0.01
+        w /= w.sum()
+        calls.clear()
+        value, _ = maximize_over_sphere(np.sqrt(w), rng)
+        assert 1 < len(calls) < 351
+        assert abs(value - sphere_sup(w).value) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sphere_ascent_matches_sup_at_k16(seed):
+    # the benchmark's psistar-sweep regime: two r below the branch switch
+    # (the full set is valid for r >= 13/238 at k = 16), then one above
+    draw = random.Random(seed)
+    grid = [draw.uniform(0.005, 0.02), draw.uniform(0.005, 0.02), draw.uniform(0.08, 0.5)]
+    for index, r in enumerate(grid):
+        w = one_heavy_weights(16, r)
+        res = sphere_sup(w)
+        assert (len(res.argmax_subset) == 16) == (index == 2)
+        value, _ = maximize_over_sphere(np.sqrt(w), stream(seed, index))
+        assert abs(value - res.value) <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_norm_and_sphere_ascent_reject_non_finite_input(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError):
+            free_unitary_sum_norm([bad, 1.0, 1.0])
+        with pytest.raises(OutOfRangeError):
+            free_unitary_sum_norm([complex(1.0, bad), 1.0, 1.0])
+        with pytest.raises(OutOfRangeError):
+            maximize_over_sphere([bad, 1.0, 1.0], stream(5, 0))
 
 
 def test_sphere_sup_bounds_on_size():
