@@ -4,10 +4,11 @@
                                 [--threads T]
 
 Results go to the path from the config's outputPath key unless --out
-overrides it ('-' writes to stdout).  Progress, and the package's INFO
-log (such as how many ascent restarts were capped), is printed on
-stderr so piped output stays clean.  Exit codes: 0 success, 1 configuration
-error, 2 runtime failure.
+overrides it ('-' writes to stdout).  Trials run on --threads workers, by
+default one per usable core; the worker count never changes the bytes.
+Progress, and the package's INFO log (such as how many ascent restarts
+were capped), is printed on stderr so piped output stays clean.  Exit
+codes: 0 success, 1 configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 from .config import load_config, with_overrides
 from .errors import ConfigError
-from .experiments import emit_results, run_experiment
+from .experiments import emit_results, run_experiment, usable_cores
 
 
 # glibc's mallopt parameter M_MMAP_THRESHOLD, and glibc's default value for it
@@ -64,7 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override masterSeed")
     run.add_argument("--out", default=None, help="override outputPath ('-' = stdout)")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--threads", type=int, default=1, help="worker thread count")
+    run.add_argument(
+        "--threads",
+        type=int,
+        default=usable_cores(),
+        help="worker thread count (default: one per usable core)",
+    )
     return parser
 
 

@@ -27,8 +27,18 @@ def stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:
 
 
 def _complex_gaussian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Unit-variance complex Gaussians from real and imaginary standard normals."""
-    return (re + 1j * im) / np.sqrt(2.0)
+    """Unit-variance complex Gaussians from real and imaginary standard normals.
+
+    Both parts are scaled by 1/sqrt(2) straight into one complex array.
+    numpy divides a complex array by a real scalar as a product with its
+    reciprocal, so the values are those of `(re + 1j * im) / np.sqrt(2.0)`,
+    bit for bit, without that expression's three temporaries.
+    """
+    z = np.empty(re.shape, dtype=np.complex128)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(re, scale, out=z.real)
+    np.multiply(im, scale, out=z.imag)
+    return z
 
 
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -45,7 +55,8 @@ def _haar_columns(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     z = _ginibre(rows, cols, rng)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
-    return q * (d / np.abs(d))
+    q *= d / np.abs(d)
+    return q
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

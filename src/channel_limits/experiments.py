@@ -11,9 +11,12 @@ stable schema:
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +70,60 @@ class ExperimentRecord:
 
 
 _log = logging.getLogger(__name__)
+
+
+def usable_cores() -> int:
+    """Cores this process may run on, or the machine's count where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _openblas_thread_count():
+    """Getter and setter of the thread count of numpy's bundled OpenBLAS, or None.
+
+    dlsym on numpy's linalg extension also searches the libraries it links,
+    so this finds the OpenBLAS numpy runs on and not some other copy.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_BLAS_THREADS = _openblas_thread_count()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the caller's count.
+
+    OpenBLAS's blocking, and with it the last bits of a product or a
+    factorization, depends on its thread count; pinning it makes the bytes
+    independent of OPENBLAS_NUM_THREADS and leaves the cores to the trial
+    pool.  The count is process-wide, so it is set before any worker
+    starts and restored after all have stopped.
+    """
+    if _BLAS_THREADS is None:
+        _log.warning(
+            "BLAS thread count not set: numpy's BLAS exports no "
+            "scipy_openblas_set_num_threads64_, so the bytes may depend on its thread count"
+        )
+        yield
+        return
+    get, set_ = _BLAS_THREADS
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _build_channel(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> Channel:
@@ -270,27 +327,34 @@ def _log_ascents(cfg: ExperimentConfig, ascents: list[NormAscent]) -> None:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRecord]:
     """All records for one config, in trial order regardless of scheduling.
 
-    A config whose trials run the norm ascent also logs, at INFO, how many
-    of their restarts stopped without converging.
+    Every trial runs on one OpenBLAS thread, whatever `threads` is, so the
+    records are the same bytes for any worker count and any
+    OPENBLAS_NUM_THREADS.  A pool of `threads` workers takes the trials
+    largest n first, so the longest trials do not start last.  A config
+    whose trials run the norm ascent also logs, at INFO, how many of their
+    restarts stopped without converging.
     """
-    if cfg.experiment == "psistar-sweep":
-        return _run_psistar_sweep(cfg)
-    runner = _TRIAL_RUNNERS[cfg.experiment]
-    specs = [
-        (trial, n)
-        for trial, n in enumerate(
-            n for n in cfg.n_grid for _ in range(cfg.trials)
-        )
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: runner(cfg, *s), specs))
-    else:
-        results = [runner(cfg, *s) for s in specs]
+    with _one_blas_thread():
+        if cfg.experiment == "psistar-sweep":
+            return _run_psistar_sweep(cfg)
+        results = _run_trials(cfg, threads)
     ascents = [ascent for _, ascent in results if ascent is not None]
     if ascents:
         _log_ascents(cfg, ascents)
     return [record for record, _ in results]
+
+
+def _run_trials(cfg: ExperimentConfig, threads: int) -> list:
+    """(record, ascent) of every trial, in trial order."""
+    runner = _TRIAL_RUNNERS[cfg.experiment]
+    specs = list(enumerate(n for n in cfg.n_grid for _ in range(cfg.trials)))
+    if threads <= 1:
+        return [runner(cfg, *s) for s in specs]
+    # sorted is stable, so trials of one n keep their index order
+    largest_first = sorted(specs, key=lambda s: -s[1])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        done = dict(zip(largest_first, pool.map(lambda s: runner(cfg, *s), largest_first)))
+    return [done[s] for s in specs]
 
 
 def _format_value(v: float | None) -> str:

@@ -88,12 +88,17 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 def _hermitian_part(
     m, tol: float = HERMITIAN_TOL, error=NonHermitianError, *, stack: bool = False
 ) -> np.ndarray:
-    """Coerce to a square complex matrix (or stack), raise `error` beyond `tol`, hermitize."""
+    """Coerce to a square complex matrix (or stack), raise `error` beyond `tol`, hermitize.
+
+    An exactly Hermitian input, such as a lift `Channel.adjoint` has
+    hermitized, comes back as it is: `hermitize` would return its values
+    bit for bit.  Callers only read the result.
+    """
     a = state_matrix(m, stack=stack)
     defect = hermiticity_defect(a)
     if defect > tol:
         raise error(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
-    return hermitize(a)
+    return a if defect == 0.0 else hermitize(a)
 
 
 class EigenSystem(NamedTuple):

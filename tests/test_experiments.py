@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import logging
+import os
 import subprocess
 import sys
 from dataclasses import asdict
@@ -46,7 +48,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "psistar_sweep.csv"
 
 # tiny configs of the Monte-Carlo experiments; the CSVs next to them were
-# written by `channel-limits run` with --threads 1 and OPENBLAS_NUM_THREADS=1
+# written by `channel-limits run`, which runs every trial on one OpenBLAS thread
 MONTE_CARLO_GOLDENS = (
     "cm_convergence",
     "norm_limit",
@@ -356,10 +358,17 @@ def test_cli_pins_mmap_threshold_only_for_a_worker_pool(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "_pin_mmap_threshold", lambda: calls.append(1))
     cfg_path = _write(tmp_path, "sweep.cfg", SWEEP_TEXT)
-    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "a.csv")]) == 0
+    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "a.csv"), "--threads", "1"]) == 0
     assert calls == []
     assert cli_main(["run", cfg_path, "--out", str(tmp_path / "b.csv"), "--threads", "2"]) == 0
     assert calls == [1]
+
+
+def test_cli_threads_default_to_the_usable_cores():
+    from channel_limits import cli
+
+    args = cli._build_parser().parse_args(["run", "any.cfg"])
+    assert args.threads == experiments.usable_cores() >= 1
 
 
 def test_cli_seed_override_changes_nothing_for_closed_form_sweep(tmp_path):
@@ -658,3 +667,93 @@ def test_output_cloud_is_byte_identical_across_worker_threads():
     serial = render_csv(run_experiment(cfg, threads=1))
     pooled = render_csv(run_experiment(cfg, threads=2))
     assert serial == pooled
+
+
+@pytest.mark.parametrize(
+    "blas_threads, workers", [(None, "2"), ("2", "1")], ids=["blas-unset", "blas-2"]
+)
+def test_committed_bytes_do_not_depend_on_openblas_threads(tmp_path, blas_threads, workers):
+    # a fresh process reads OPENBLAS_NUM_THREADS when numpy loads; unset, OpenBLAS
+    # takes one thread per core, and its blocking changes the last bits at n = 300
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "weyl_invariance.csv"
+    cfg_path = REPO / "configs" / "weyl_invariance.cfg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "channel_limits", "run", str(cfg_path), "--out", str(out),
+         "--threads", workers],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == (REPO / "results" / "weyl_invariance.csv").read_text()
+
+
+@pytest.mark.skipif(experiments._BLAS_THREADS is None, reason="numpy has no bundled OpenBLAS")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_trials_run_on_one_blas_thread_and_the_callers_count_returns(monkeypatch, threads):
+    get, set_ = experiments._BLAS_THREADS
+    seen = []
+
+    def failing(cfg, trial, n):
+        seen.append(get())
+        raise RuntimeError(f"trial {trial} failed")
+
+    monkeypatch.setitem(experiments._TRIAL_RUNNERS, "cm-convergence", failing)
+    before = get()
+    set_(2)
+    try:
+        with pytest.raises(RuntimeError, match="failed"):
+            run_experiment(parse_config_text(CM_TEXT), threads=threads)
+        assert get() == 2
+    finally:
+        set_(before)
+    assert seen and set(seen) == {1}
+
+
+def test_run_without_the_blas_setter_warns_once_and_keeps_its_records(monkeypatch, caplog):
+    cfg = parse_config_text(CM_TEXT)
+    pinned = run_experiment(cfg, threads=2)
+    monkeypatch.setattr(experiments, "_BLAS_THREADS", None)
+    with caplog.at_level(logging.WARNING, logger="channel_limits"):
+        unpinned = run_experiment(cfg, threads=2)
+    assert unpinned == pinned
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "thread count not set" in warnings[0].getMessage()
+
+
+def test_pool_takes_the_largest_trials_first_and_emits_in_trial_order(monkeypatch):
+    class InOrder:
+        """An executor that runs its map in submission order on the caller's thread."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    started = []
+
+    def runner(cfg, trial, n):
+        started.append(trial)
+        return experiments._record(cfg, trial, n, "p", (float(n),), None), None
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", InOrder)
+    monkeypatch.setitem(experiments._TRIAL_RUNNERS, "cm-convergence", runner)
+    cfg = parse_config_text(CM_TEXT.replace("nGrid = 4, 8", "nGrid = 4, 8, 6"))
+    records = run_experiment(cfg, threads=2)
+    # trials 0-1 have n = 4, 2-3 have n = 8 and 4-5 have n = 6
+    assert started == [2, 3, 4, 5, 0, 1]
+    assert [r.trial for r in records] == list(range(6))
+    assert [r.n for r in records] == [4, 4, 8, 8, 6, 6]
