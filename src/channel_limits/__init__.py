@@ -37,6 +37,7 @@ from .experiments import (
 )
 from .geometry import (
     NormAscent,
+    Restart,
     SpectrumProbe,
     estimate_smin,
     holevo_from_smin,

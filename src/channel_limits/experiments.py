@@ -266,7 +266,8 @@ def _run_output_cloud(cfg, trial, n):
     rng = stream(cfg.master_seed, trial)
     channel = _build_channel(cfg, n, rng)
     ascent = norm_ascent(channel, rng, cfg.restarts, cfg.iter_cap)
-    smin = estimate_smin([*ascent.outputs, *_cloud_outputs(channel, cfg.samples, n, rng)])
+    outputs = [r.output for r in ascent.restarts]
+    smin = estimate_smin([*outputs, *_cloud_outputs(channel, cfg.samples, n, rng)])
     holevo = holevo_from_smin(cfg.k, smin)
     kind = cfg.channel_kind()
     target = None
@@ -308,20 +309,23 @@ def _run_psistar_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 
 
 def _log_ascents(cfg: ExperimentConfig, ascents: list[NormAscent]) -> None:
-    """Log one line on the restarts of the config's ascents that did not converge.
+    """Log two lines on the restarts of the config's ascents.
 
-    Such a restart is capped when it used all `iterCap` full evaluations, and
-    stalled when it stopped before.
+    The first counts those that did not converge: capped when they used all
+    `iterCap` full evaluations, stalled when they stopped before.  The second
+    counts those whose value is within 1e-9 of their trial's best.
     """
-    restarts = [(n, done) for a in ascents for n, done in zip(a.evaluations, a.converged)]
-    capped = sum(1 for n, done in restarts if not done and n >= cfg.iter_cap)
-    stalled = sum(1 for _, done in restarts if not done) - capped
+    restarts = [r for a in ascents for r in a.restarts]
+    capped = sum(1 for r in restarts if not r.converged and r.evaluations >= cfg.iter_cap)
+    stalled = sum(1 for r in restarts if not r.converged) - capped
     _log.info(
         "ascent: %d of %d restarts capped%s",
         capped,
         len(restarts),
         f", {stalled} stalled" if stalled else "",
     )
+    best = sum(1 for a in ascents for r in a.restarts if r.value >= a.value - 1e-9)
+    _log.info("ascent: %d of %d restarts within 1e-9 of their trial's best", best, len(restarts))
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRecord]:
@@ -332,7 +336,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRe
     OPENBLAS_NUM_THREADS.  A pool of `threads` workers takes the trials
     largest n first, so the longest trials do not start last.  A config
     whose trials run the norm ascent also logs, at INFO, how many of their
-    restarts stopped without converging.
+    restarts stopped without converging and how many reached their
+    trial's best value.
     """
     with _one_blas_thread():
         if cfg.experiment == "psistar-sweep":

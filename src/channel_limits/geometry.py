@@ -9,6 +9,7 @@ output clouds.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,24 +64,39 @@ def probe_top_eigenvalues(channel: Channel, observable, count: int) -> SpectrumP
     return SpectrumProbe(vals, float(vals[0] - vals[-1]))
 
 
-@dataclass(frozen=True)
-class NormAscent:
-    """Result of the sphere ascent for the 1 -> infinity norm.
+class Restart(NamedTuple):
+    """Where one restart of the sphere ascent ended.
 
-    `value`, `input_vector` and `trajectory` belong to the best restart;
-    `outputs`, `evaluations`, `converged` and `gradient_norms` hold one
-    entry per restart, in restart order.  `evaluations` counts full
-    evaluations (lift, top eigenpair, forward map), not the steps on the
-    restart's Ritz space.
+    `value` is the top eigenvalue of `output` = Phi(xx*) for the restart's
+    last input x, `input_vector`; `trajectory` is f at each accepted point,
+    then `value`.  `evaluations` counts full evaluations (lift, top
+    eigenpair, forward map), not the steps on the restart's Ritz space, and
+    the restart `converged` when its `gradient_norm` is at most 1e-8.
     """
 
     value: float
     input_vector: np.ndarray
     trajectory: tuple[float, ...]
-    outputs: tuple[DensityMatrix, ...]
-    evaluations: tuple[int, ...]
-    converged: tuple[bool, ...]
-    gradient_norms: tuple[float, ...]
+    output: DensityMatrix
+    evaluations: int
+    converged: bool
+    gradient_norm: float
+
+
+@dataclass(frozen=True)
+class NormAscent:
+    """Result of the sphere ascent for the 1 -> infinity norm: one record per restart."""
+
+    restarts: tuple[Restart, ...]
+
+    @property
+    def best(self) -> Restart:
+        """The first restart with the largest value."""
+        return max(self.restarts, key=lambda r: r.value)
+
+    @property
+    def value(self) -> float:
+        return self.best.value
 
 
 # Armijo sufficient-increase constant of the backtracking line search
@@ -90,8 +106,6 @@ _GRADIENT_TOL = 1e-8
 # relative change of f within which two evaluations tie: evaluations of f
 # at points closer than rounding scatter by about 1e-15
 _TIE_TOL = 1e-14
-# evaluations of one BFGS run on the Ritz space
-_REDUCED_CAP = 100
 # a new top lift vector whose part outside the Ritz space is at most this
 # is taken to lie in it
 _SPAN_TOL = 1e-10
@@ -191,26 +205,18 @@ def _ties(point, f: float) -> bool:
     )
 
 
-class _Run(NamedTuple):
-    """Where a restart ended."""
-
-    values: list  # f at each accepted point
-    point: tuple  # the evaluation (f, gradient, x, Phi(xx*)) at the last one
-    evaluations: int
-
-
 def _sphere_bfgs(evaluate, a: np.ndarray, h):
     """Riemannian BFGS from the unit vector a, with f and its gradient from `evaluate`.
 
     `h` is the starting inverse Hessian approximation, the identity when
-    None.  Makes at most _REDUCED_CAP evaluations.  Returns the end point
-    (the last accepted point, or a trial point that tied it), the inverse
-    Hessian approximation there, in real coordinates, and the evaluation
-    at the end point.
+    None.  Returns the end point (the last accepted point, or a trial point
+    that tied it), the inverse Hessian approximation there, in real
+    coordinates, and the evaluation at the end point.  It ends, since each
+    accepted step strictly raises f, a bounded float, and each backtrack
+    halves t until t |p| <= eps.
     """
     point = evaluate(a)
     f, g = point[:2]
-    evaluations = 1
     eye = np.eye(2 * a.shape[0])
     h = eye if h is None else h
     while True:
@@ -225,11 +231,10 @@ def _sphere_bfgs(evaluate, a: np.ndarray, h):
         p_norm = float(np.linalg.norm(p))
         t = 1.0
         # backtrack from t = 1; the else branch runs when no trial passed
-        while evaluations < _REDUCED_CAP and t * p_norm > np.finfo(float).eps:
+        while t * p_norm > np.finfo(float).eps:
             b = a + t * p
             b /= np.linalg.norm(b)
             trial = evaluate(b)
-            evaluations += 1
             if trial[0] > f and trial[0] >= f + _ARMIJO * t * slope:
                 break
             if _ties(trial, f):
@@ -250,7 +255,7 @@ def _sphere_bfgs(evaluate, a: np.ndarray, h):
         a, point, f, g = b, trial, trial[0], g_new
 
 
-def _subspace_restart(channel: Channel, a: np.ndarray, iter_cap: int) -> _Run:
+def _subspace_restart(channel: Channel, a: np.ndarray, iter_cap: int) -> Restart:
     """One restart: BFGS on a growing Ritz space, full evaluations to grow and certify it.
 
     Each outer step maximizes f on span P from the current point, with
@@ -280,7 +285,18 @@ def _subspace_restart(channel: Channel, a: np.ndarray, iter_cap: int) -> _Run:
         elif not _ties(trial, point[0]):
             break
         a, point = b, trial
-    return _Run(values, point, evaluations)
+    _, g, x, out = point
+    value = float(hermitian_eigs(out).eigenvalues[0])
+    g_norm = float(np.linalg.norm(g))
+    return Restart(
+        value,
+        x,
+        (*values, value),
+        DensityMatrix.normalized(out),
+        evaluations,
+        g_norm <= _GRADIENT_TOL,
+        g_norm,
+    )
 
 
 def norm_ascent(
@@ -295,8 +311,9 @@ def norm_ascent(
     aa*, so the problem is to maximize f(a) = lambda_max(Phi*(aa*)) over
     the unit sphere of C^k modulo phase.  One full evaluation of f costs
     one lift, one top eigenpair and one forward map, and also gives the
-    gradient Phi(xx*) a - f a.  The lifts all act on one channel, so it
-    first keeps what makes them cheap (`Channel.cache_lifts`).
+    gradient Phi(xx*) a - f a.  The lifts all act on one channel, so a
+    shallow copy of it keeps what makes them cheap (`Channel.cache_lifts`);
+    the caller's channel lifts as before.
 
     Each restart draws a start a and runs a subspace method (Kangal,
     Meerbergen, Mengi & Michiels, A subspace method for large-scale
@@ -321,43 +338,18 @@ def norm_ascent(
     maximum a line search can no longer tell a better point from a worse
     one.  It never moves to a lower f by more than that.
 
-    The reported value of a restart is the top eigenvalue of Phi(xx*) at
-    its last point: the value of the best a for that x, so it is
-    attained by the input x, and it is at least f there up to rounding.
-    The trajectory is f at each accepted point, then that value.  Keeps
-    the best restart; every restart's output Phi(xx*) is returned for
-    reuse as an entropy warm start.
+    The value of a restart is the top eigenvalue of Phi(xx*) at its last
+    point: the value of the best a for that x, so it is attained by the
+    input x, and it is at least f there up to rounding.  Returns one
+    `Restart` record per restart, in draw order; each keeps its output
+    Phi(xx*) for reuse as an entropy warm start.
     """
     if restarts < 1 or iter_cap < 1:
         raise OutOfRangeError("restarts and iter_cap must be positive")
-    best_value = -np.inf
-    best_x = None
-    best_traj: tuple[float, ...] = ()
-    outputs, evaluations, converged, gradient_norms = [], [], [], []
+    channel = copy.copy(channel)
     channel.cache_lifts()
-    for _ in range(restarts):
-        a = sample_pure_state(channel.output_dim, rng)
-        run = _subspace_restart(channel, a, iter_cap)
-        _, g, x, out = run.point
-        value = float(hermitian_eigs(out).eigenvalues[0])
-        g_norm = float(np.linalg.norm(g))
-        outputs.append(DensityMatrix.normalized(out))
-        evaluations.append(run.evaluations)
-        converged.append(g_norm <= _GRADIENT_TOL)
-        gradient_norms.append(g_norm)
-        if value > best_value:
-            best_value = value
-            best_x = x
-            best_traj = (*run.values, value)
-    return NormAscent(
-        best_value,
-        best_x,
-        best_traj,
-        tuple(outputs),
-        tuple(evaluations),
-        tuple(converged),
-        tuple(gradient_norms),
-    )
+    starts = (sample_pure_state(channel.output_dim, rng) for _ in range(restarts))
+    return NormAscent(tuple(_subspace_restart(channel, a, iter_cap) for a in starts))
 
 
 def weyl_operator(shift: int, phase: int, dim: int) -> np.ndarray:

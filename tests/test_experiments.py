@@ -282,7 +282,9 @@ def test_monte_carlo_runs_match_golden_files(stem):
     )
 
 
-GOLDEN_ASCENTS = ("norm_limit", "stinespring_peak", "output_cloud")
+# each pinned ascent config with the restarts that reach their trial's best
+# value within 1e-9, as measured; the others end at lower local maxima
+GOLDEN_ASCENTS = {"norm_limit": 4, "stinespring_peak": 5, "output_cloud": 4}
 
 
 @pytest.mark.parametrize("stem", GOLDEN_ASCENTS)
@@ -295,6 +297,11 @@ def test_golden_ascent_restarts_all_converge(stem, tmp_path, capsys):
     assert cli_main(["run", str(GOLDEN_DIR / f"{stem}.cfg"), "--out", str(out)]) == 0
     err = capsys.readouterr().err.splitlines()
     assert f"[channel-limits] ascent: 0 of {restarts} restarts capped" in err
+    covered = GOLDEN_ASCENTS[stem]
+    assert (
+        f"[channel-limits] ascent: {covered} of {restarts} restarts within 1e-9 "
+        "of their trial's best" in err
+    )
     _assert_csv_within_golden_tolerance(
         out.read_text(), (GOLDEN_DIR / f"{stem}.csv").read_text()
     )

@@ -77,11 +77,33 @@ def test_ascent_depolarizing_converges_immediately():
     ch = make_depolarizing(4, 5)
     res = norm_ascent(ch, stream(5, 0), restarts=2, iter_cap=10)
     assert res.value == pytest.approx(0.25, abs=1e-12)
-    assert res.trajectory[0] == pytest.approx(0.25, abs=1e-12)
+    assert res.best.trajectory[0] == pytest.approx(0.25, abs=1e-12)
     # the output is flat for every input, so the gradient vanishes at once
-    assert res.evaluations == (1, 1)
-    assert res.converged == (True, True)
-    assert max(res.gradient_norms) <= 1e-8
+    assert tuple(r.evaluations for r in res.restarts) == (1, 1)
+    assert tuple(r.converged for r in res.restarts) == (True, True)
+    assert max(r.gradient_norm for r in res.restarts) <= 1e-8
+
+
+def test_ascent_best_is_the_first_restart_with_the_largest_value():
+    # every restart on a depolarizing channel ends at exactly 1/k, so the
+    # tie goes to the first
+    ch = make_depolarizing(4, 5)
+    res = norm_ascent(ch, stream(5, 0), restarts=3, iter_cap=10)
+    assert [r.value for r in res.restarts] == [0.25] * 3
+    assert res.best is res.restarts[0]
+    assert res.value == res.restarts[0].value
+
+
+def test_ascent_leaves_the_callers_channel_lifting_as_before():
+    # the ascent keeps its Gram blocks on a copy: the caller's adjoint
+    # keeps its own bits
+    stinespring = StinespringRegime(2, 0.3).sample(100, stream(12, 0))
+    mixed = sample_mixed_unitary_channel(3, 200, np.full(3, 1 / 3), stream(12, 2))
+    for ch in (stinespring, mixed):
+        a = sample_pure_state(ch.output_dim, stream(12, 3))
+        before = ch.adjoint(a)
+        norm_ascent(ch, stream(12, 1), restarts=1, iter_cap=3)
+        assert np.array_equal(ch.adjoint(a), before)
 
 
 def test_ascent_identity_channel_reaches_one():
@@ -94,32 +116,32 @@ def test_ascent_trajectory_is_monotone():
     rng = stream(6, 0)
     ch = sample_mixed_unitary_channel(3, 12, np.full(3, 1 / 3), rng)
     res = norm_ascent(ch, rng, restarts=3, iter_cap=60)
-    traj = np.asarray(res.trajectory)
+    traj = np.asarray(res.best.trajectory)
     assert np.all(np.diff(traj) >= -1e-12)
-    assert abs(np.linalg.norm(res.input_vector) - 1.0) <= 1e-10
+    assert abs(np.linalg.norm(res.best.input_vector) - 1.0) <= 1e-10
     # the reported value is attained by the reported input
-    out = ch.apply_pure(res.input_vector)
+    out = ch.apply_pure(res.best.input_vector)
     assert hermitian_eigenvalues(out).max() == pytest.approx(res.value, abs=1e-10)
 
 
 def _assert_attained(channel, res):
     # accepted values rise strictly; the final top eigenvalue can sit a
     # rounding error below the last of them
-    traj = np.asarray(res.trajectory)
+    traj = np.asarray(res.best.trajectory)
     assert np.all(np.diff(traj[:-1]) > 0.0)
     assert traj[-1] >= traj[-2] - 1e-12
     assert traj[-1] == res.value
-    assert abs(np.linalg.norm(res.input_vector) - 1.0) <= 1e-10
-    out = channel.apply_pure(res.input_vector)
+    assert abs(np.linalg.norm(res.best.input_vector) - 1.0) <= 1e-10
+    out = channel.apply_pure(res.best.input_vector)
     assert hermitian_eigenvalues(out).max() == pytest.approx(res.value, abs=1e-10)
 
 
 def test_ascent_reports_a_capped_restart():
     ch = StinespringRegime(2, 0.3).sample(100, stream(12, 0))
     res = norm_ascent(ch, stream(12, 1), restarts=1, iter_cap=3)
-    assert res.evaluations == (3,)
-    assert res.converged == (False,)
-    assert res.gradient_norms[0] > 1e-8
+    assert tuple(r.evaluations for r in res.restarts) == (3,)
+    assert tuple(r.converged for r in res.restarts) == (False,)
+    assert res.restarts[0].gradient_norm > 1e-8
     _assert_attained(ch, res)
 
 
@@ -131,10 +153,11 @@ def test_ascent_converges_on_the_benchmark_isometry_config():
         rng = stream(seed, 0)
         ch = regime.sample(400, rng)
         res = norm_ascent(ch, rng, restarts=4, iter_cap=60)
-        assert all(res.converged), (seed, res.evaluations)
-        assert max(res.evaluations) < 60
-        assert max(res.gradient_norms) <= 1e-8
-        assert len(res.evaluations) == len(res.gradient_norms) == 4
+        evaluations = [r.evaluations for r in res.restarts]
+        assert all(r.converged for r in res.restarts), (seed, evaluations)
+        assert max(evaluations) < 60
+        assert max(r.gradient_norm for r in res.restarts) <= 1e-8
+        assert len(res.restarts) == 4
         _assert_attained(ch, res)
 
 
@@ -164,7 +187,7 @@ def test_ascent_solves_cold_once_per_restart_on_the_benchmark_isometry_config(mo
         eigvalsh_calls.clear()
         warm.clear()
         res = norm_ascent(ch, rng, restarts=4, iter_cap=60)
-        assert len(warm) == sum(res.evaluations) - 4
+        assert len(warm) == sum(r.evaluations for r in res.restarts) - 4
         fallbacks = sum(pair is None for pair in warm)
         assert fallbacks <= len(warm) // 10  # measured: none at N = 240
         assert len(eigvalsh_calls) == 4 + fallbacks
@@ -204,9 +227,9 @@ def test_ascent_is_certified_by_the_full_eigh_alternation():
         ch = regime.sample(100, stream(40 + seed, 0))
         for restart in range(4):
             res = norm_ascent(ch, stream(40 + seed, 1 + restart), restarts=1)
-            assert res.converged == (True,)
+            assert tuple(r.converged for r in res.restarts) == (True,)
             # certificate: one more alternating step gains nothing
-            a = _top_vector(ch.apply_pure(res.input_vector))
+            a = _top_vector(ch.apply_pure(res.best.input_vector))
             assert _alternating_step(ch, a)[1] - res.value <= 1e-10
             want = _reference_ascent_value(ch, stream(40 + seed, 1 + restart))
             if abs(res.value - want) <= 1e-6:
@@ -235,7 +258,7 @@ def test_subspace_restarts_reach_the_alternation_maxima(monkeypatch):
         for restart in range(4):
             reduced.clear()
             res = norm_ascent(ch, stream(40 + seed, 1 + restart), restarts=1)
-            assert res.converged == (True,)
+            assert tuple(r.converged for r in res.restarts) == (True,)
             _assert_attained(ch, res)
             assert reduced
             for a, value in reduced:
@@ -253,8 +276,8 @@ def test_ascent_passes_the_maximum_a_full_space_search_stalls_below():
     # leaves span P, and must still end converged well below the cap
     ch = StinespringRegime(2, 0.3).sample(100, stream(12, 0))
     res = norm_ascent(ch, stream(12, 1), restarts=1, iter_cap=60)
-    assert res.converged == (True,)
-    assert res.evaluations[0] <= 20
+    assert tuple(r.converged for r in res.restarts) == (True,)
+    assert res.restarts[0].evaluations <= 20
     assert res.value >= 0.9603
     _assert_attained(ch, res)
 
@@ -275,8 +298,8 @@ def test_a_restart_whose_ritz_space_stops_growing_ends_stalled(monkeypatch, tmp_
     ch = StinespringRegime(2, 0.3).sample(100, stream(12, 0))
     res = norm_ascent(ch, stream(12, 1), restarts=1, iter_cap=60)
     assert grown == [True, False]
-    assert res.converged == (False,)
-    assert res.evaluations[0] < 60
+    assert tuple(r.converged for r in res.restarts) == (False,)
+    assert res.restarts[0].evaluations < 60
     _assert_attained(ch, res)
     # the CLI counts such restarts as stalled, apart from the capped ones
     cfg = Path(__file__).parent / "golden" / "stinespring_peak.cfg"
@@ -293,7 +316,7 @@ def test_ascent_tracks_limit_at_large_dimension():
     res = norm_ascent(ch, rng, restarts=10, iter_cap=12)
     want = mixed_unitary_norm_limit(np.full(3, 1 / 3))
     assert abs(res.value - want) <= 0.1 * want
-    assert len(res.outputs) == 10
+    assert len(res.restarts) == 10
 
 
 # ------------------------------------------------------------ weyl operators
