@@ -6,7 +6,8 @@ Usage: python scripts/run_all.py [--threads T] [--seed S] [--only NAME]
 Results land in results/<config-stem>.csv relative to the repository
 root.  Passing --only selects configs whose stem contains NAME.  Trials
 run on --threads workers, by default the CLI's one per usable core; the
-worker count never changes the bytes.
+worker count never changes the bytes.  Each config's wall time goes to
+stderr, then the total over all of them.
 """
 
 import argparse
@@ -35,6 +36,7 @@ def main() -> int:
     (ROOT / "results").mkdir(exist_ok=True)
 
     failures = 0
+    total = time.perf_counter()
     for cfg in configs:
         out = ROOT / "results" / f"{cfg.stem}.csv"
         argv = ["run", str(cfg), "--out", str(out)]
@@ -48,6 +50,8 @@ def main() -> int:
         status = "ok" if code == 0 else f"exit {code}"
         print(f"{cfg.stem:24s} {status:8s} {elapsed:7.1f}s", file=sys.stderr)
         failures += code != 0
+    elapsed = time.perf_counter() - total
+    print(f"{'total':24s} {len(configs):2d} configs {elapsed:7.1f}s", file=sys.stderr)
     return 1 if failures else 0
 
 

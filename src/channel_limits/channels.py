@@ -173,8 +173,9 @@ class Channel:
             [[self.adjoint_matrix(np.outer(ei, ej)) @ x for ej in e] for ei in e]
         )
 
-    def cache_lifts(self) -> None:
-        """Prepare for many `adjoint_rank_one` calls; the generic lift keeps nothing."""
+    def rank_one_lift(self):
+        """The map a -> Phi*(aa*), for a caller that lifts many times; here `adjoint_rank_one`."""
+        return self.adjoint_rank_one
 
 
 class StinespringChannel(Channel):
@@ -190,9 +191,6 @@ class StinespringChannel(Channel):
     `_validated=True` skips the V* V check, for samplers whose isometry is
     exact by construction.
     """
-
-    # blocks (i, j, V_i* V_j) for i <= j, kept by `cache_lifts`
-    _gram: list | None = None
 
     def __init__(self, isometry, output_dim: int, env_dim: int, *, _validated: bool = False):
         v = np.asarray(isometry, dtype=np.complex128)
@@ -232,15 +230,26 @@ class StinespringChannel(Channel):
         y = y.reshape(*v.shape[:-1], self.output_dim, self.env_dim)
         return y @ y.conj().swapaxes(-1, -2)
 
-    def adjoint_rank_one(self, vector: np.ndarray) -> np.ndarray:
+    def adjoint_rank_one(self, vector: np.ndarray, gram: list | None = None) -> np.ndarray:
         # V*(aa* (x) I)V = B*B for B = sum_i conj(a_i) V_i, V_i the isometry's
         # output blocks; expanded, sum_ij a_i conj(a_j) V_i* V_j
         a = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        if self._gram is not None:
-            return self._gram_lift(a)
-        v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
-        b = np.tensordot(a.conj(), v, axes=(0, 0))
-        return hermitize(b.conj().T @ b)
+        if gram is None:
+            v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
+            b = np.tensordot(a.conj(), v, axes=(0, 0))
+            return hermitize(b.conj().T @ b)
+        # summed over `gram`, the blocks (i, j, G_ij = V_i* V_j) of
+        # `rank_one_lift`, the lift is U + U* = hermitize(2U) for
+        # U = sum_i (|a_i|^2 / 2) G_ii + sum_{i<j} a_i conj(a_j) G_ij,
+        # since G_ji = G_ij*
+        two_u = np.zeros((self.input_dim, self.input_dim), dtype=np.complex128)
+        for i, j, g in gram:
+            c = abs(a[i]) ** 2 if i == j else 2.0 * a[i] * a[j].conjugate()
+            if np.ndim(g):
+                two_u += c * g
+            else:  # the block g I
+                two_u.flat[:: self.input_dim + 1] += c * g
+        return hermitize(two_u)
 
     def adjoint_matrix_units(self, x: np.ndarray) -> np.ndarray:
         # Phi*(E_ij) x = V_i* (V x)_j, taken as conj(conj(V x)_j V_i) so that
@@ -249,36 +258,23 @@ class StinespringChannel(Channel):
         y = (self.isometry @ x).reshape(self.output_dim, self.env_dim)
         return np.matmul(y.conj(), v).conj()
 
-    def cache_lifts(self) -> None:
-        """Keep the Gram blocks G_ij = V_i* V_j (i <= j) of the output blocks V_i.
+    def rank_one_lift(self):
+        """The map a -> Phi*(aa*), summing the Gram blocks G_ij = V_i* V_j (i <= j).
 
-        A rank-one lift then sums k(k+1)/2 scaled N x N blocks instead of
-        forming B and the (env x N)-by-N product B*B.  Building the blocks
-        costs k(k+1)/2 such products, one at a time, so they pay off only
-        on a channel that is lifted more often than that.
+        A lift then adds k(k+1)/2 scaled N x N blocks instead of forming B
+        and the (env x N)-by-N product B*B.  Building the blocks costs
+        k(k+1)/2 such products, one at a time, so the map pays off only for
+        a caller that lifts more often than that.  The blocks live with the
+        returned function; the channel keeps nothing.  Each lift is still a
+        call of `adjoint_rank_one`, so a profile counts every lift there.
         """
-        if self._gram is None:
-            v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
-            k = self.output_dim
-            self._gram = [
-                (i, j, self._gram_block(v, i, j)) for i in range(k) for j in range(i, k)
-            ]
+        v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
+        k = self.output_dim
+        gram = [(i, j, self._gram_block(v, i, j)) for i in range(k) for j in range(i, k)]
+        return lambda a: self.adjoint_rank_one(a, gram)
 
     def _gram_block(self, v: np.ndarray, i: int, j: int):
         return v[i].conj().T @ v[j]
-
-    def _gram_lift(self, a: np.ndarray) -> np.ndarray:
-        # the lift is U + U* = hermitize(2U) for
-        # U = sum_i (|a_i|^2 / 2) G_ii + sum_{i<j} a_i conj(a_j) G_ij,
-        # since G_ji = G_ij*
-        two_u = np.zeros((self.input_dim, self.input_dim), dtype=np.complex128)
-        for i, j, g in self._gram:
-            c = abs(a[i]) ** 2 if i == j else 2.0 * a[i] * a[j].conjugate()
-            if np.ndim(g):
-                two_u += c * g
-            else:  # the block g I
-                two_u.flat[:: self.input_dim + 1] += c * g
-        return hermitize(two_u)
 
 
 class MixedUnitaryChannel(StinespringChannel):
@@ -286,7 +282,7 @@ class MixedUnitaryChannel(StinespringChannel):
 
     Stores the Stinespring isometry stacking sqrt(w_i) U_i as blocks, and
     the weights (strictly positive, summing to 1, checked first), which
-    give the diagonal Gram blocks w_i I of `cache_lifts` without a
+    give the diagonal Gram blocks w_i I of `rank_one_lift` without a
     product.  Each U_i is checked to be unitary on its own: the stacked
     isometry alone would only certify sum_i w_i U_i* U_i = I.  `_validated=True` skips
     those checks, for samplers whose unitaries are exact by construction.

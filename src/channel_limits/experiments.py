@@ -313,7 +313,8 @@ def _log_ascents(cfg: ExperimentConfig, ascents: list[NormAscent]) -> None:
 
     The first counts those that did not converge: capped when they used all
     `iterCap` full evaluations, stalled when they stopped before.  The second
-    counts those whose value is within 1e-9 of their trial's best.
+    counts those whose value is within 1e-9 of their trial's best, or says that
+    coverage is not measured when each trial's one restart is its best.
     """
     restarts = [r for a in ascents for r in a.restarts]
     capped = sum(1 for r in restarts if not r.converged and r.evaluations >= cfg.iter_cap)
@@ -324,6 +325,9 @@ def _log_ascents(cfg: ExperimentConfig, ascents: list[NormAscent]) -> None:
         len(restarts),
         f", {stalled} stalled" if stalled else "",
     )
+    if cfg.restarts == 1:
+        _log.info("ascent: coverage not measured, one restart per trial")
+        return
     best = sum(1 for a in ascents for r in a.restarts if r.value >= a.value - 1e-9)
     _log.info("ascent: %d of %d restarts within 1e-9 of their trial's best", best, len(restarts))
 

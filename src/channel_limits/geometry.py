@@ -9,7 +9,6 @@ output clouds.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -127,10 +126,10 @@ def _value_and_gradient(out: np.ndarray, a: np.ndarray):
     return f, out_a - f * a
 
 
-def _evaluate(channel: Channel, a: np.ndarray, start: np.ndarray | None = None):
+def _evaluate(channel: Channel, lift, a: np.ndarray, start: np.ndarray | None = None):
     """f(a) = lambda_max(Phi*(aa*)), its horizontal gradient, x and Phi(xx*).
 
-    x is the top eigenvector of the lift, so f(a) = <a| Phi(xx*) |a>, and
+    x is the top eigenvector of the lift `lift(a)`, so f(a) = <a| Phi(xx*) |a>, and
     by the envelope theorem Phi(xx*) a - f a is the gradient on the unit
     sphere (up to a factor 2), orthogonal to both a and the phase i a.
     The lift is exactly Hermitian and a fresh array, so it goes to the
@@ -139,7 +138,7 @@ def _evaluate(channel: Channel, a: np.ndarray, start: np.ndarray | None = None):
     certified or the solver has fallen back to its cold path, which may
     overwrite it.
     """
-    x = _top_eigenpair(channel.adjoint_rank_one(a), start).eigenvectors[:, 0]
+    x = _top_eigenpair(lift(a), start).eigenvectors[:, 0]
     out = channel.apply_pure(x)
     return (*_value_and_gradient(out, a), x, out)
 
@@ -255,7 +254,7 @@ def _sphere_bfgs(evaluate, a: np.ndarray, h):
         a, point, f, g = b, trial, trial[0], g_new
 
 
-def _subspace_restart(channel: Channel, a: np.ndarray, iter_cap: int) -> Restart:
+def _subspace_restart(channel: Channel, lift, a: np.ndarray, iter_cap: int) -> Restart:
     """One restart: BFGS on a growing Ritz space, full evaluations to grow and certify it.
 
     Each outer step maximizes f on span P from the current point, with
@@ -268,7 +267,7 @@ def _subspace_restart(channel: Channel, a: np.ndarray, iter_cap: int) -> Restart
     evaluation of a restart has none.
     """
     space = _RitzSpace(channel)
-    point = _evaluate(channel, a)
+    point = _evaluate(channel, lift, a)
     values, evaluations, h = [point[0]], 1, None
     while (
         float(np.linalg.norm(point[1])) > _GRADIENT_TOL
@@ -278,7 +277,7 @@ def _subspace_restart(channel: Channel, a: np.ndarray, iter_cap: int) -> Restart
         b, h, reduced = _sphere_bfgs(space.evaluate, a, h)
         if b is a:  # the reduced run took no step
             break
-        trial = _evaluate(channel, b, space.basis @ reduced[2])
+        trial = _evaluate(channel, lift, b, space.basis @ reduced[2])
         evaluations += 1
         if trial[0] > point[0]:
             values.append(trial[0])
@@ -311,9 +310,9 @@ def norm_ascent(
     aa*, so the problem is to maximize f(a) = lambda_max(Phi*(aa*)) over
     the unit sphere of C^k modulo phase.  One full evaluation of f costs
     one lift, one top eigenpair and one forward map, and also gives the
-    gradient Phi(xx*) a - f a.  The lifts all act on one channel, so a
-    shallow copy of it keeps what makes them cheap (`Channel.cache_lifts`);
-    the caller's channel lifts as before.
+    gradient Phi(xx*) a - f a.  The lifts all act on one channel, so they
+    go through one `Channel.rank_one_lift()` function, built once per
+    ascent; the channel itself is left as it was.
 
     Each restart draws a start a and runs a subspace method (Kangal,
     Meerbergen, Mengi & Michiels, A subspace method for large-scale
@@ -346,10 +345,9 @@ def norm_ascent(
     """
     if restarts < 1 or iter_cap < 1:
         raise OutOfRangeError("restarts and iter_cap must be positive")
-    channel = copy.copy(channel)
-    channel.cache_lifts()
+    lift = channel.rank_one_lift()
     starts = (sample_pure_state(channel.output_dim, rng) for _ in range(restarts))
-    return NormAscent(tuple(_subspace_restart(channel, a, iter_cap) for a in starts))
+    return NormAscent(tuple(_subspace_restart(channel, lift, a, iter_cap) for a in starts))
 
 
 def weyl_operator(shift: int, phase: int, dim: int) -> np.ndarray:

@@ -367,7 +367,8 @@ def test_mixed_unitary_kernels_match_direct_index_sums():
 
 
 @pytest.mark.parametrize(
-    "kind", ["stinespring", "mixed-unitary", "gauged-mixed-unitary", "one-output"]
+    "kind",
+    ["stinespring", "mixed-unitary", "gauged-mixed-unitary", "one-output", "eb", "depolarizing"],
 )
 def test_gram_lift_matches_the_product_and_the_index_sum(kind):
     rng = np.random.default_rng(25)
@@ -377,25 +378,40 @@ def test_gram_lift_matches_the_product_and_the_index_sum(kind):
         ch = _haar_mixed_unitary([0.2, 0.3, 0.5], 5, rng)
     elif kind == "gauged-mixed-unitary":
         ch = sample_mixed_unitary_channel(3, 5, [0.2, 0.3, 0.5], rng)
-    else:
+    elif kind == "one-output":
         ch = sample_stinespring_channel(1, 6, 4, rng)
-    blocks = ch.isometry.reshape(ch.output_dim, ch.env_dim, ch.input_dim)
+    else:
+        ch = _sample_channel(kind, rng)
+    k = ch.output_dim
+    if isinstance(ch, StinespringChannel):
+        blocks = ch.isometry.reshape(k, ch.env_dim, ch.input_dim)
+
+        def unit_lift(i, j):
+            return blocks[i].conj().T @ blocks[j]
+    else:
+        units = np.eye(k, dtype=np.complex128)
+
+        def unit_lift(i, j):
+            return ch.adjoint_matrix(np.outer(units[i], units[j]))
     # unit vectors, and one that is not
-    vectors = [sample_pure_state(ch.output_dim, rng) for _ in range(3)]
-    vectors.append(3.0 * vectors[0] + 1j * rng.standard_normal(ch.output_dim))
+    vectors = [sample_pure_state(k, rng) for _ in range(3)]
+    vectors.append(3.0 * vectors[0] + 1j * rng.standard_normal(k))
     product = [ch.adjoint_rank_one(a) for a in vectors]
-    ch.cache_lifts()
+    state = {name: (value, np.copy(value)) for name, value in vars(ch).items()}
+    lift = ch.rank_one_lift()
     for a, by_product in zip(vectors, product):
-        direct = sum(
-            a[i] * np.conj(a[j]) * blocks[i].conj().T @ blocks[j]
-            for i in range(ch.output_dim)
-            for j in range(ch.output_dim)
-        )
-        gram = ch.adjoint_rank_one(a)
+        direct = sum(a[i] * np.conj(a[j]) * unit_lift(i, j) for i in range(k) for j in range(k))
+        gram = lift(a)
         assert np.array_equal(gram, gram.conj().T)
         scale = max(1.0, float(np.abs(direct).max()))
         assert np.abs(gram - direct).max() <= 1e-12 * scale
         assert np.abs(gram - by_product).max() <= 1e-12 * scale
+        if not isinstance(ch, StinespringChannel):
+            assert np.array_equal(gram, by_product)
+    # the lift function keeps its blocks to itself
+    assert vars(ch).keys() == state.keys()
+    for name, (value, copied) in state.items():
+        assert vars(ch)[name] is value and np.array_equal(value, copied)
 
 
 def _count_gram_products(monkeypatch):
@@ -418,24 +434,34 @@ def test_identity_unitary_gram_blocks_equal_the_product_bit_for_bit(monkeypatch)
     us = [haar_unitary(6, rng), np.eye(6), haar_unitary(6, rng)]
     ch = MixedUnitaryChannel([0.2, 0.3, 0.5], us)
     v = ch.isometry.reshape(3, 6, 6)
+    gram = []
+    block = MixedUnitaryChannel._gram_block
+
+    def recording(self, blocks, i, j):
+        gram.append((i, j, block(self, blocks, i, j)))
+        return gram[-1][2]
+
+    monkeypatch.setattr(MixedUnitaryChannel, "_gram_block", recording)
     products = _count_gram_products(monkeypatch)
-    ch.cache_lifts()
+    lift = ch.rank_one_lift()
     assert products == [(0, 1), (0, 2)]
-    for i, j, g in ch._gram:
+    for i, j, g in gram:
         if i != j:
             assert np.array_equal(g, v[i].conj().T @ v[j])
     # the lifts are those of the product blocks
     vectors = [sample_pure_state(3, rng) for _ in range(3)]
-    lifts = [ch.adjoint_rank_one(a) for a in vectors]
-    ch._gram = [(i, j, g if i == j else v[i].conj().T @ v[j]) for i, j, g in ch._gram]
-    for a, lift in zip(vectors, lifts):
-        assert np.array_equal(lift, ch.adjoint_rank_one(a))
+    lifts = [lift(a) for a in vectors]
+    by_product = {(i, j): g if i == j else v[i].conj().T @ v[j] for i, j, g in gram}
+    monkeypatch.setattr(MixedUnitaryChannel, "_gram_block", lambda self, _, i, j: by_product[i, j])
+    product_lift = ch.rank_one_lift()
+    for a, got in zip(vectors, lifts):
+        assert np.array_equal(got, product_lift(a))
 
 
 def test_sampled_first_unitary_takes_no_gram_product(monkeypatch):
     ch = sample_mixed_unitary_channel(3, 5, [0.2, 0.3, 0.5], np.random.default_rng(27))
     products = _count_gram_products(monkeypatch)
-    ch.cache_lifts()
+    ch.rank_one_lift()
     assert products == [(1, 2)]
 
 

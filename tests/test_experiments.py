@@ -317,6 +317,16 @@ def test_cli_reports_capped_restarts_only_for_ascent_runs(tmp_path, capsys):
     assert "ascent:" not in capsys.readouterr().err
 
 
+def test_cli_reports_no_coverage_for_one_restart_per_trial(tmp_path, capsys):
+    # a trial's only restart is its best, so a full count would say nothing
+    single = _golden_text("norm_limit").replace("restarts = 2", "restarts = 1")
+    assert cli_main(["run", _write(tmp_path, "single.cfg", single), "--out", "-"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "[channel-limits] ascent: 0 of 4 restarts capped" in err
+    assert "[channel-limits] ascent: coverage not measured, one restart per trial" in err
+    assert not any("within 1e-9" in line for line in err)
+
+
 def test_fast_configs_reproduce_committed_results():
     # the configs that run in seconds; the closed-form sweep is exact, the
     # Monte-Carlo runs are held to the golden tolerance

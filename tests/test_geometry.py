@@ -95,8 +95,8 @@ def test_ascent_best_is_the_first_restart_with_the_largest_value():
 
 
 def test_ascent_leaves_the_callers_channel_lifting_as_before():
-    # the ascent keeps its Gram blocks on a copy: the caller's adjoint
-    # keeps its own bits
+    # the ascent's Gram blocks live in its lift function: the caller's
+    # adjoint keeps its own bits
     stinespring = StinespringRegime(2, 0.3).sample(100, stream(12, 0))
     mixed = sample_mixed_unitary_channel(3, 200, np.full(3, 1 / 3), stream(12, 2))
     for ch in (stinespring, mixed):

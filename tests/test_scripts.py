@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -38,3 +39,24 @@ def test_summarize_without_paths_is_exit_one(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["summarize.py"])
     assert summarize.main() == 1
     assert "Usage" in capsys.readouterr().err
+
+
+def test_run_all_ends_with_the_total_wall_time(tmp_path, monkeypatch, capsys):
+    run_all = _load_script("run_all")
+    stems = ["eb_tensor", "psistar_sweep"]
+    (tmp_path / "configs").mkdir()
+    for stem in stems:
+        shutil.copy(ROOT / "configs" / f"{stem}.cfg", tmp_path / "configs")
+    monkeypatch.setattr(run_all, "ROOT", tmp_path)
+    monkeypatch.setattr(sys, "argv", ["run_all.py", "--threads", "1"])
+    assert run_all.main() == 0
+    lines = [line.split() for line in capsys.readouterr().err.splitlines()]
+    timed = [line for line in lines if line[0] in stems]
+    assert [line[:2] for line in timed] == [[stem, "ok"] for stem in stems]
+    assert lines[-1][:3] == ["total", "2", "configs"]
+    seconds = [float(line[-1].rstrip("s")) for line in (*timed, lines[-1])]
+    assert seconds[-1] >= sum(seconds[:-1]) - 0.1
+    # the closed-form sweep is exact; the Monte-Carlo run is only written
+    sweep = "psistar_sweep.csv"
+    assert (tmp_path / "results" / sweep).read_text() == (ROOT / "results" / sweep).read_text()
+    assert (tmp_path / "results" / "eb_tensor.csv").is_file()
