@@ -4,11 +4,13 @@
                                 [--threads T]
 
 Results go to the path from the config's outputPath key unless --out
-overrides it ('-' writes to stdout).  Trials run on --threads workers, by
-default one per usable core; the worker count never changes the bytes.
-Progress, and the package's INFO log (such as how many ascent restarts
-were capped), is printed on stderr so piped output stays clean.  Exit
-codes: 0 success, 1 configuration error, 2 runtime failure.
+overrides it ('-' writes to stdout); a destination whose directory does
+not exist is a configuration error, raised before the first trial.
+Trials run on --threads workers, by default one per usable core; the
+worker count never changes the bytes.  Progress, and the package's INFO
+log (such as how many ascent restarts were capped), is printed on stderr
+so piped output stays clean.  Exit codes: 0 success, 1 configuration
+error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from __future__ import annotations
 import argparse
 import ctypes
 import logging
+import os
 import sys
+from dataclasses import replace
 
-from .config import load_config, with_overrides
+from .config import load_config
 from .errors import ConfigError
 from .experiments import emit_results, run_experiment, usable_cores
 
@@ -92,12 +96,15 @@ def main(argv: list[str] | None = None) -> int:
 def _run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
-        cfg = with_overrides(cfg, master_seed=args.seed, output_path=args.out)
+        overrides = {"master_seed": args.seed, "output_path": args.out}
+        cfg = replace(cfg, **{key: v for key, v in overrides.items() if v is not None})
         if args.threads < 1:
             raise ConfigError(f"threads: must be positive, got {args.threads}")
         dest = cfg.output_path
         if dest is None:
             raise ConfigError("outputPath: not set in config and no --out given")
+        if dest != "-" and not os.path.isdir(os.path.dirname(dest) or "."):
+            raise ConfigError(f"outputPath: directory of {dest!r} does not exist")
         print(
             f"[channel-limits] {cfg.experiment}: k={cfg.k} seed={cfg.master_seed}",
             file=sys.stderr,

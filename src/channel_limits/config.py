@@ -9,7 +9,7 @@ the offending field named.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,9 +75,7 @@ class ExperimentConfig:
             return "stinespring"
         raise ConfigError("channel: cannot infer kind (set weights, t, or channel)")
 
-    def probe_array(self) -> np.ndarray | None:
-        if self.probe_matrix is None:
-            return None
+    def probe_array(self) -> np.ndarray:
         return np.asarray(self.probe_matrix, dtype=np.complex128)
 
 
@@ -250,15 +248,3 @@ def validate_config(cfg: ExperimentConfig) -> None:
     ):
         raise ConfigError(f"k: {cfg.experiment} needs k >= 2")
 
-
-def with_overrides(
-    cfg: ExperimentConfig,
-    master_seed: int | None = None,
-    output_path: str | None = None,
-) -> ExperimentConfig:
-    out = cfg
-    if master_seed is not None:
-        out = replace(out, master_seed=master_seed)
-    if output_path is not None:
-        out = replace(out, output_path=output_path)
-    return out

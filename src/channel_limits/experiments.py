@@ -278,34 +278,25 @@ def _run_output_cloud(cfg, trial, n):
     return _record(cfg, trial, n, "cloud", (smin, holevo, ascent.value), target), ascent
 
 
-# each runner maps (cfg, trial, n) to the trial's record and its NormAscent,
-# or None for a trial without an ascent
+def _run_psistar_sweep(cfg, trial, r):
+    result = sphere_sup(one_heavy_weights(cfg.k, r))
+    target = one_heavy_sup_value(r) if cfg.k == 4 else None
+    values = (result.value, float(len(result.argmax_subset)))
+    return _record(cfg, trial, 0, f"r={r!r}", values, target), None
+
+
+# each runner maps (cfg, trial, point) to the trial's record and its
+# NormAscent, or None for a trial without an ascent; the point is the
+# trial's n, or psistar-sweep's r
 _TRIAL_RUNNERS = {
     "cm-convergence": _run_cm_convergence,
     "norm-limit": _run_norm_limit,
+    "psistar-sweep": _run_psistar_sweep,
     "stinespring-peak": _run_norm_limit,
     "weyl-invariance": _run_weyl_invariance,
     "eb-tensor": _run_eb_tensor,
     "output-cloud": _run_output_cloud,
 }
-
-
-def _run_psistar_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    records = []
-    for i, r in enumerate(cfg.r_grid):
-        result = sphere_sup(one_heavy_weights(cfg.k, r))
-        target = one_heavy_sup_value(r) if cfg.k == 4 else None
-        records.append(
-            _record(
-                cfg,
-                i,
-                0,
-                f"r={r!r}",
-                (result.value, float(len(result.argmax_subset))),
-                target,
-            )
-        )
-    return records
 
 
 def _log_ascents(cfg: ExperimentConfig, ascents: list[NormAscent]) -> None:
@@ -338,14 +329,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRe
     Every trial runs on one OpenBLAS thread, whatever `threads` is, so the
     records are the same bytes for any worker count and any
     OPENBLAS_NUM_THREADS.  A pool of `threads` workers takes the trials
-    largest n first, so the longest trials do not start last.  A config
-    whose trials run the norm ascent also logs, at INFO, how many of their
-    restarts stopped without converging and how many reached their
-    trial's best value.
+    largest n (or r) first, so the longest trials do not start last.  A
+    config whose trials run the norm ascent also logs, at INFO, how many
+    of their restarts stopped without converging and how many reached
+    their trial's best value.
     """
     with _one_blas_thread():
-        if cfg.experiment == "psistar-sweep":
-            return _run_psistar_sweep(cfg)
         results = _run_trials(cfg, threads)
     ascents = [ascent for _, ascent in results if ascent is not None]
     if ascents:
@@ -356,7 +345,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRe
 def _run_trials(cfg: ExperimentConfig, threads: int) -> list:
     """(record, ascent) of every trial, in trial order."""
     runner = _TRIAL_RUNNERS[cfg.experiment]
-    specs = list(enumerate(n for n in cfg.n_grid for _ in range(cfg.trials)))
+    points = cfg.r_grid or cfg.n_grid
+    specs = list(enumerate(p for p in points for _ in range(cfg.trials)))
     if threads <= 1:
         return [runner(cfg, *s) for s in specs]
     # sorted is stable, so trials of one n keep their index order

@@ -245,7 +245,7 @@ class DensityMatrix:
     and rescales, while the plain constructor only verifies.
     """
 
-    __slots__ = ("matrix", "dim")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix, *, _validated: bool = False):
         a = as_complex_matrix(matrix)
@@ -256,7 +256,6 @@ class DensityMatrix:
                 raise InvalidDensityMatrixError(f"trace {tr!r} differs from 1 beyond 1e-12")
             _floor_check(np.linalg.eigvalsh(h), "minimum eigenvalue")
         self.matrix = a
-        self.dim = a.shape[0]
 
     @classmethod
     def normalized(cls, matrix) -> "DensityMatrix":

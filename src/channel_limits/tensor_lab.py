@@ -5,7 +5,7 @@ and outputs (sigma_i), its action on half of a pure input collapses to
 matrix arithmetic: writing the input vector as a matrix B, the joint
 output is sum_i sigma_i (x) Psi(B M_i^T B*).  Provided every M_i has
 operator norm 1, this output splits into a convex mixture of product
-points, one per POVM element; the decomposition below certifies that
+points, one per POVM element; the decomposition below computes that
 splitting and a positivity probe shows why the naive uniform-mixing
 ansatz fails for any POVM that is not the flat one.
 """
@@ -63,13 +63,11 @@ class EBTensorDecomposition:
 
     weights[i] is the probability of POVM outcome i; states[i] is the
     conditional input to the other factor (None when the weight is
-    negligible); point_distributions[i] is the deterministic outcome
-    distribution certifying that sigma_i (x) Psi(states[i]) is reachable.
+    negligible).
     """
 
     weights: np.ndarray
     states: tuple[DensityMatrix | None, ...]
-    point_distributions: np.ndarray
 
     def reconstruct(self, eb: EBChannel, psi: Channel) -> np.ndarray:
         """Reassemble sum_i weights[i] sigma_i (x) Psi(states[i])."""
@@ -107,17 +105,13 @@ def eb_tensor_decompose(eb: EBChannel, psi: Channel, vector) -> EBTensorDecompos
             states.append(DensityMatrix.normalized(reduced / w))
         else:
             states.append(None)
-    count = len(weights)
-    return EBTensorDecomposition(
-        np.asarray(weights), tuple(states), np.eye(count)
-    )
+    return EBTensorDecomposition(np.asarray(weights), tuple(states))
 
 
 @dataclass(frozen=True)
 class PositivityReport:
     """Per-element minimum eigenvalues of the uniform-mixing residuals."""
 
-    mixing: float
     block_min_eigenvalues: np.ndarray
     has_negative_block: bool
 
@@ -145,4 +139,4 @@ def uniform_mixing_positivity_probe(povm, mixing: float) -> PositivityReport:
             for c in centered
         ]
     )
-    return PositivityReport(mixing, mins, bool(np.any(mins < -1e-12)))
+    return PositivityReport(mins, bool(np.any(mins < -1e-12)))

@@ -18,7 +18,6 @@ from channel_limits.config import (
     load_config,
     parse_config_text,
     validate_config,
-    with_overrides,
 )
 from channel_limits import experiments
 from channel_limits.channels import make_depolarizing
@@ -140,13 +139,17 @@ def test_validate_rejects_incomplete_configs():
 
 def test_load_config_and_overrides(tmp_path):
     path = tmp_path / "sweep.cfg"
-    path.write_text(SWEEP_TEXT)
+    path.write_text(SWEEP_TEXT + f"outputPath = {tmp_path / 'config.csv'}\n")
     cfg = load_config(str(path))
     assert cfg.k == 4
-    bumped = with_overrides(cfg, master_seed=99, output_path="out.csv")
-    assert bumped.master_seed == 99
-    assert bumped.output_path == "out.csv"
-    assert cfg.master_seed == 7
+    # the CLI replaces only the settings it is given
+    assert cli_main(["run", str(path)]) == 0
+    assert cli_main(["run", str(path), "--seed", "99", "--out", str(tmp_path / "out.csv")]) == 0
+    seeds = [
+        {row.split(",")[2] for row in (tmp_path / name).read_text().splitlines()[1:]}
+        for name in ("config.csv", "out.csv")
+    ]
+    assert seeds == [{"7"}, {"99"}]
 
 
 # ------------------------------------------------------------------- runners
@@ -198,6 +201,9 @@ def test_psistar_sweep_tracks_piecewise_curve():
     cfg = parse_config_text(SWEEP_TEXT)
     records = run_experiment(cfg)
     assert [rec.probe for rec in records] == ["r=0.05", "r=0.1", "r=0.2"]
+    assert [rec.trial for rec in records] == [0, 1, 2]
+    # the sweep runs on the trial pool like every other experiment
+    assert render_csv(run_experiment(cfg, threads=2)) == render_csv(records)
     sizes = [rec.values[1] for rec in records]
     assert sizes == [3.0, 4.0, 4.0]
     for rec in records:
@@ -570,15 +576,88 @@ def test_cli_k1_with_a_target_runs(tmp_path, capsys, text):
     assert capsys.readouterr().out.startswith("experiment,")
 
 
-def test_cli_missing_output_is_exit_one(tmp_path):
+def test_cli_missing_output_is_exit_one(tmp_path, capsys, monkeypatch):
+    from channel_limits import cli
+
     cfg_path = _write(tmp_path, "sweep.cfg", SWEEP_TEXT)
     assert cli_main(["run", cfg_path]) == 1
-
-
-def test_cli_runtime_failure_is_exit_two(tmp_path):
-    cfg_path = _write(tmp_path, "sweep.cfg", SWEEP_TEXT)
+    # a destination whose directory is missing fails before the first trial
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg, threads=1: pytest.fail("ran"))
+    capsys.readouterr()
     code = cli_main(["run", cfg_path, "--out", str(tmp_path / "no" / "dir" / "x.csv")])
-    assert code == 2
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "config error: outputPath:" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_runtime_failure_is_exit_two(tmp_path, capsys, monkeypatch):
+    from channel_limits import cli
+
+    cfg_path = _write(tmp_path, "sweep.cfg", SWEEP_TEXT)
+    # the destination is a directory, so the run succeeds and the write fails
+    assert cli_main(["run", cfg_path, "--out", str(tmp_path)]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+
+    def failing(cfg, threads=1):
+        raise RuntimeError("trial failed")
+
+    monkeypatch.setattr(cli, "run_experiment", failing)
+    out = tmp_path / "kept.csv"
+    out.write_text("earlier results\n")
+    assert cli_main(["run", cfg_path, "--out", str(out)]) == 2
+    assert "error: trial failed" in capsys.readouterr().err
+    # a run that fails leaves an existing destination as it was
+    assert out.read_text() == "earlier results\n"
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("experiment = psistar-sweep\nk = four\nrGrid = 0.1\n", "k:"),
+        ("experiment = stinespring-peak\nk = 2\nt = half\nnGrid = 4\n", "t:"),
+        (
+            "experiment = cm-convergence\nk = 2\nchannel = depolarizing\nnGrid = 4\n"
+            "probe = explicit\nprobeMatrix = 1,0,0 ; 0,0 ; 0,0 ; 0,0\n",
+            "probeMatrix:",
+        ),
+        (
+            "experiment = cm-convergence\nk = 2\nchannel = depolarizing\nnGrid = 4\n"
+            "probe = explicit\nprobeMatrix = 1,0 ; 0,0 ; 0,0\n",
+            "probeMatrix:",
+        ),
+        (None, "config file"),
+        ("experiment = norm-limit\nk = 2\nchannel = depolarizing\nnGrid = 4\ntrials = 0\n",
+         "trials:"),
+        ("experiment = norm-limit\nk = 2\nchannel = depolarizing\nnGrid = 4, -2\n", "nGrid:"),
+        ("experiment = stinespring-peak\nk = 2\nt = 1.5\nnGrid = 4\n", "t:"),
+        ("experiment = norm-limit\nk = 3\nweights = 0.5, 0.5\nnGrid = 4\n", "weights:"),
+        (
+            "experiment = cm-convergence\nk = 3\nchannel = depolarizing\nnGrid = 4\n"
+            "probe = explicit\nprobeMatrix = 1,0 ; 0,0 ; 0,0 ; 0,0\n",
+            "probeMatrix:",
+        ),
+    ],
+    ids=[
+        "not-an-integer",
+        "not-a-number",
+        "matrix-entry-not-a-pair",
+        "matrix-not-square",
+        "missing-file",
+        "non-positive-count",
+        "negative-n-grid-entry",
+        "t-outside-unit-interval",
+        "wrong-weights-count",
+        "probe-dimension-not-k",
+    ],
+)
+def test_cli_config_rejections_are_exit_one(tmp_path, capsys, text, fragment):
+    path = str(tmp_path / "absent.cfg") if text is None else _write(tmp_path, "x.cfg", text)
+    code = cli_main(["run", path, "--out", "-"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"config error: {fragment}" in captured.err
 
 
 def test_cli_module_invocation(tmp_path):
@@ -630,6 +709,19 @@ def test_cloud_pass_matches_the_per_sample_loop_bit_for_bit(kind, offset):
     assert np.array_equal(entropies, [von_neumann_entropy(s) for s in reference])
     assert estimate_smin(blocks) == estimate_smin(reference) == min(entropies)
     assert pass_rng.standard_normal() == loop_rng.standard_normal()
+
+
+def test_depolarizing_output_cloud_targets_log_k():
+    # every output of the completely depolarizing channel is I/k
+    text = (
+        "experiment = output-cloud\nk = 3\nchannel = depolarizing\nnGrid = 4, 6\n"
+        "samples = 20\nrestarts = 2\niterCap = 10\nmasterSeed = 2\n"
+    )
+    records = run_experiment(parse_config_text(text))
+    assert len(records) == 2
+    for rec in records:
+        assert rec.target == np.log(3)
+        assert rec.error <= 1e-12
 
 
 def test_cloud_pass_keeps_the_unit_norm_and_hermiticity_checks(monkeypatch):

@@ -136,15 +136,6 @@ def test_decomposition_reconstructs_random_instances():
         assert np.abs(dec.reconstruct(eb, psi) - want).max() <= 1e-10
 
 
-def test_decomposition_point_distributions_are_point_masses():
-    rng = stream(1, 2)
-    eb = _projective_eb((2, 2), 2, rng)
-    psi = sample_stinespring_channel(2, 2, 2, rng)
-    dec = eb_tensor_decompose(eb, psi, _unit_bipartite(4, 2, rng))
-    dists = np.asarray(dec.point_distributions)
-    assert np.abs(dists - np.eye(len(dec.weights))).max() <= 1e-14
-
-
 def test_decomposition_pinching_reproduces_direct_sum():
     rng = stream(1, 3)
     eb = make_pinching(3)
