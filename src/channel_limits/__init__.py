@@ -38,7 +38,6 @@ from .experiments import (
 from .geometry import (
     NormAscent,
     Restart,
-    SpectrumProbe,
     estimate_smin,
     holevo_from_smin,
     norm_ascent,

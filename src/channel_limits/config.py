@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channels import validate_weights
+from .ensembles import StinespringRegime
 from .errors import BadWeightsError, ConfigError, InvalidDensityMatrixError
 from .linalg import DensityMatrix
 
@@ -223,6 +224,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("rGrid: entries must lie in (0, 1)")
     if cfg.t is not None and not (0.0 < cfg.t <= 1.0):
         raise ConfigError(f"t: {cfg.t} outside (0, 1]")
+    if cfg.experiment == "cm-convergence":
+        # the probe's lift is N x N, N the channel's input dimension, which
+        # grows with n
+        n = min(cfg.n_grid)
+        if cfg.channel_kind() == "stinespring":
+            lift_dim = StinespringRegime(cfg.k, cfg.t).input_dim(n)
+        else:
+            lift_dim = n
+        if cfg.m > lift_dim:
+            raise ConfigError(f"m: {cfg.m} exceeds the lift dimension {lift_dim} at n = {n}")
     if cfg.weights is not None:
         if len(cfg.weights) != cfg.k:
             raise ConfigError(f"weights: expected {cfg.k} entries, got {len(cfg.weights)}")

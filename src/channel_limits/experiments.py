@@ -17,7 +17,7 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -186,9 +186,10 @@ def _run_cm_convergence(cfg, trial, n):
     channel = _build_channel(cfg, n, rng)
     observable, coeff = _build_probe(cfg, rng)
     target = _rank_one_target(cfg, coeff)
-    count = min(cfg.m, channel.input_dim)
-    probe = probe_top_eigenvalues(channel, observable, count)
-    return _record(cfg, trial, n, cfg.probe, (*probe.eigenvalues, probe.spread), target), None
+    vals = probe_top_eigenvalues(channel, observable, cfg.m)
+    # the spread, largest minus smallest reported eigenvalue, measures how
+    # far the spectrum edge is from collapsing to its limit value
+    return _record(cfg, trial, n, cfg.probe, (*vals, vals[0] - vals[-1]), target), None
 
 
 def _run_norm_limit(cfg, trial, n):
@@ -219,8 +220,7 @@ def _run_weyl_invariance(cfg, trial, n):
                 conjugated = w @ observable
             else:
                 conjugated = w @ observable @ w.conj().T
-            probe = probe_top_eigenvalues(channel, conjugated, 1)
-            values.append(probe.top)
+            values.append(probe_top_eigenvalues(channel, conjugated, 1)[0])
     return _record(cfg, trial, n, cfg.probe, tuple(values), target), None
 
 
@@ -237,25 +237,18 @@ def _run_eb_tensor(cfg, trial, n):
     return _record(cfg, trial, n, "reconstruction", (residual,), 0.0), None
 
 
-# bytes of input vectors and their images that one block of the output
-# cloud holds at once: 63 rows at n = 200, k = 2, N = 120
-_CLOUD_BLOCK_BYTES = 1 << 19
+# pure inputs the output cloud draws and maps in one pass
+_CLOUD_BLOCK_ROWS = 64
 
 
-def _cloud_block_rows(channel: Channel, env_dim: int) -> int:
-    """Rows per cloud block: each holds an input and its image in C^k (x) C^env."""
-    row_bytes = 16 * (channel.input_dim + channel.output_dim * env_dim)
-    return max(1, _CLOUD_BLOCK_BYTES // row_bytes)
-
-
-def _cloud_outputs(channel: Channel, samples: int, env_dim: int, rng) -> list[np.ndarray]:
+def _cloud_outputs(channel: Channel, samples: int, rng) -> list[np.ndarray]:
     """Outputs of `samples` uniform pure inputs, as (b, k, k) stacks in draw order.
 
     Each block draws, maps and normalizes its rows in one pass; row i is
     the state `channel.apply(sample_pure_state(N, rng))` would give as the
     i-th single draw, bit for bit.
     """
-    rows = _cloud_block_rows(channel, env_dim)
+    rows = _CLOUD_BLOCK_ROWS
     return [
         channel.apply(sample_pure_state(channel.input_dim, rng, min(rows, samples - start)))
         for start in range(0, samples, rows)
@@ -267,7 +260,7 @@ def _run_output_cloud(cfg, trial, n):
     channel = _build_channel(cfg, n, rng)
     ascent = norm_ascent(channel, rng, cfg.restarts, cfg.iter_cap)
     outputs = [r.output for r in ascent.restarts]
-    smin = estimate_smin([*outputs, *_cloud_outputs(channel, cfg.samples, n, rng)])
+    smin = estimate_smin([*outputs, *_cloud_outputs(channel, cfg.samples, rng)])
     holevo = holevo_from_smin(cfg.k, smin)
     kind = cfg.channel_kind()
     target = None
@@ -378,21 +371,7 @@ def render_csv(records: list[ExperimentRecord]) -> str:
 
 
 def render_json(records: list[ExperimentRecord]) -> str:
-    payload = [
-        {
-            "experiment": r.experiment,
-            "trial": r.trial,
-            "seed": r.seed,
-            "n": r.n,
-            "k": r.k,
-            "probe": r.probe,
-            "values": list(r.values),
-            "target": r.target,
-            "error": r.error,
-        }
-        for r in records
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([asdict(r) for r in records], indent=2) + "\n"
 
 
 def emit_results(records: list[ExperimentRecord], fmt: str = "csv") -> str:

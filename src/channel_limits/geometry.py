@@ -31,26 +31,11 @@ from .linalg import (
 from .ensembles import sample_pure_state
 
 
-@dataclass(frozen=True)
-class SpectrumProbe:
-    """Top adjoint eigenvalues for one probe observable."""
-
-    eigenvalues: np.ndarray
-    spread: float
-
-    @property
-    def top(self) -> float:
-        return float(self.eigenvalues[0])
-
-
-def probe_top_eigenvalues(channel: Channel, observable, count: int) -> SpectrumProbe:
-    """Top `count` eigenvalues of the adjoint action on one observable.
+def probe_top_eigenvalues(channel: Channel, observable, count: int) -> np.ndarray:
+    """Top `count` eigenvalues of the adjoint action on one observable, descending.
 
     The observable is anything `Channel.adjoint` takes: a matrix, or a
     vector a for the rank-one observable aa*.
-
-    The spread (largest minus smallest reported eigenvalue) measures how
-    far the spectrum edge is from collapsing to its limit value.
     """
     if count < 1:
         raise OutOfRangeError("count must be at least 1")
@@ -59,8 +44,7 @@ def probe_top_eigenvalues(channel: Channel, observable, count: int) -> SpectrumP
             f"count {count} exceeds adjoint dimension {channel.input_dim}"
         )
     lifted = channel.adjoint(observable)
-    vals = hermitian_eigenvalues(lifted)[:count]
-    return SpectrumProbe(vals, float(vals[0] - vals[-1]))
+    return hermitian_eigenvalues(lifted)[:count]
 
 
 class Restart(NamedTuple):

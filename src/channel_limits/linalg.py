@@ -339,5 +339,6 @@ def von_neumann_entropy(states):
         rows = start == s
         pos = flat[rows, s:]
         sums[rows] = np.sum(pos * np.log(pos), axis=-1)
-    entropy = np.maximum(0.0, -sums).reshape(vals.shape[:-1])
+    # adding +0.0 turns the -0.0 of a pure state into 0.0
+    entropy = (np.maximum(0.0, -sums) + 0.0).reshape(vals.shape[:-1])
     return float(entropy) if entropy.ndim == 0 else entropy

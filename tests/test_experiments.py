@@ -178,8 +178,8 @@ def test_explicit_rank_one_probe_lifts_its_matrix():
     (record,) = run_experiment(cfg)
     channel = sample_mixed_unitary_channel(2, 12, cfg.weights, stream(4, 0))
     matrix = DensityMatrix(cfg.probe_array()).matrix
-    probe = probe_top_eigenvalues(channel, matrix, 3)
-    assert record.values == (*probe.eigenvalues, probe.spread)
+    vals = probe_top_eigenvalues(channel, matrix, 3)
+    assert record.values == (*vals, vals[0] - vals[-1])
     assert record.target is not None
 
 
@@ -591,6 +591,21 @@ def test_cli_missing_output_is_exit_one(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "text, m",
+    [
+        ("experiment = cm-convergence\nk = 2\nweights = 0.5, 0.5\nnGrid = 3, 8\n", 3),
+        ("experiment = cm-convergence\nk = 2\nt = 0.3\nnGrid = 4, 6\n", 2),
+    ],
+    ids=["mixed-unitary", "stinespring"],
+)
+def test_m_at_the_lift_dimension_runs(text, m):
+    records = run_experiment(parse_config_text(text + f"m = {m}\ntrials = 2\n"))
+    assert len(records) == 4
+    for rec in records:
+        assert len(rec.values) == m + 1
+
+
 def test_cli_runtime_failure_is_exit_two(tmp_path, capsys, monkeypatch):
     from channel_limits import cli
 
@@ -637,6 +652,10 @@ def test_cli_runtime_failure_is_exit_two(tmp_path, capsys, monkeypatch):
             "probe = explicit\nprobeMatrix = 1,0 ; 0,0 ; 0,0 ; 0,0\n",
             "probeMatrix:",
         ),
+        # the lift is 3 x 3 at n = 3, though 8 x 8 at n = 8
+        ("experiment = cm-convergence\nk = 2\nweights = 0.5, 0.5\nnGrid = 3, 8\nm = 5\n", "m:"),
+        # the Stinespring lift at n = 4, t = 0.3 is 2 x 2
+        ("experiment = cm-convergence\nk = 2\nt = 0.3\nnGrid = 4\nm = 3\n", "m:"),
     ],
     ids=[
         "not-an-integer",
@@ -649,9 +668,14 @@ def test_cli_runtime_failure_is_exit_two(tmp_path, capsys, monkeypatch):
         "t-outside-unit-interval",
         "wrong-weights-count",
         "probe-dimension-not-k",
+        "m-above-the-lift-dimension",
+        "m-above-the-stinespring-lift-dimension",
     ],
 )
-def test_cli_config_rejections_are_exit_one(tmp_path, capsys, text, fragment):
+def test_cli_config_rejections_are_exit_one(tmp_path, capsys, monkeypatch, text, fragment):
+    from channel_limits import cli
+
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg, threads=1: pytest.fail("ran"))
     path = str(tmp_path / "absent.cfg") if text is None else _write(tmp_path, "x.cfg", text)
     code = cli_main(["run", path, "--out", "-"])
     captured = capsys.readouterr()
@@ -695,13 +719,12 @@ def _per_sample_cloud(channel, samples, rng):
 @pytest.mark.parametrize("kind", ["stinespring", "mixed-unitary", "depolarizing"])
 def test_cloud_pass_matches_the_per_sample_loop_bit_for_bit(kind, offset):
     channel = _cloud_channel(kind, stream(50, 0))
-    block = experiments._cloud_block_rows(channel, CLOUD_N)
-    assert 40 <= block <= 80
+    block = experiments._CLOUD_BLOCK_ROWS
     samples = {"1": 1, "block-1": block - 1, "block": block,
                "block+1": block + 1, "1000": 1000}[offset]
     loop_rng, pass_rng = stream(50, 1), stream(50, 1)
     reference = _per_sample_cloud(channel, samples, loop_rng)
-    blocks = experiments._cloud_outputs(channel, samples, CLOUD_N, pass_rng)
+    blocks = experiments._cloud_outputs(channel, samples, pass_rng)
     assert [len(b) for b in blocks][:1] == [min(block, samples)]
     states = np.concatenate(blocks)
     assert np.array_equal(states, np.array([s.matrix for s in reference]))
@@ -735,7 +758,7 @@ def test_cloud_pass_keeps_the_unit_norm_and_hermiticity_checks(monkeypatch):
 
     monkeypatch.setattr(experiments, "sample_pure_state", stretched)
     with pytest.raises(NotUnitVectorError):
-        experiments._cloud_outputs(channel, 100, CLOUD_N, stream(51, 1))
+        experiments._cloud_outputs(channel, 100, stream(51, 1))
     monkeypatch.undo()
 
     apply_pure = channel.apply_pure
@@ -747,7 +770,7 @@ def test_cloud_pass_keeps_the_unit_norm_and_hermiticity_checks(monkeypatch):
 
     monkeypatch.setattr(channel, "apply_pure", skewed)
     with pytest.raises(InvalidDensityMatrixError):
-        experiments._cloud_outputs(channel, 100, CLOUD_N, stream(51, 1))
+        experiments._cloud_outputs(channel, 100, stream(51, 1))
 
 
 # ---------------------------------------------------------------- determinism

@@ -1,6 +1,8 @@
 """Dense Hermitian linear algebra: eigensolver, partial trace, density
 matrices, entropy."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,6 +325,13 @@ def test_von_neumann_entropy_extremes():
     assert abs(von_neumann_entropy(DensityMatrix.maximally_mixed(5)) - np.log(5)) <= 1e-12
     pure = DensityMatrix.pure(np.array([1.0, 0.0, 0.0]))
     assert abs(von_neumann_entropy(pure)) <= 1e-12
+
+
+def test_pure_state_entropy_is_positive_zero():
+    pure = DensityMatrix.pure(np.array([1.0, 0.0]))
+    assert math.copysign(1.0, von_neumann_entropy(pure)) == 1.0
+    stack = np.stack([pure.matrix, np.diag([0.0, 1.0])])
+    assert [math.copysign(1.0, s) for s in von_neumann_entropy(stack)] == [1.0, 1.0]
 
 
 def test_von_neumann_entropy_two_level():
