@@ -38,6 +38,7 @@ from .linalg import (
     partial_trace_right,
     unit_rows,
 )
+from .openblas import adjoint_product
 
 ISOMETRY_TOL = 1e-10
 POVM_TOL = 1e-10
@@ -60,7 +61,7 @@ def validate_weights(weights) -> np.ndarray:
 
 def _check_isometry(v: np.ndarray) -> None:
     """Raise unless V*V = I within ISOMETRY_TOL; for square V, unitarity."""
-    defect = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
+    defect = float(np.max(np.abs(adjoint_product(v, v) - np.eye(v.shape[1]))))
     if not defect <= ISOMETRY_TOL:  # a NaN defect fails too
         raise NotUnitaryError(f"isometry defect {defect:.3e} exceeds {ISOMETRY_TOL:.1e}")
 
@@ -220,7 +221,7 @@ class StinespringChannel(Channel):
         w = np.tensordot(y, v, axes=(1, 0)).reshape(
             self.output_dim * self.env_dim, self.input_dim
         )
-        return self.isometry.conj().T @ w
+        return adjoint_product(self.isometry, w)
 
     def apply_pure(self, vectors: np.ndarray) -> np.ndarray:
         # a broadcast matmul runs one matrix-vector product per row, the
@@ -237,7 +238,9 @@ class StinespringChannel(Channel):
         if gram is None:
             v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
             b = np.tensordot(a.conj(), v, axes=(0, 0))
-            return hermitize(b.conj().T @ b)
+            lift = adjoint_product(b, b)
+            del b  # B goes before hermitize allocates its output
+            return hermitize(lift)
         # summed over `gram`, the blocks (i, j, G_ij = V_i* V_j) of
         # `rank_one_lift`, the lift is U + U* = hermitize(2U) for
         # U = sum_i (|a_i|^2 / 2) G_ii + sum_{i<j} a_i conj(a_j) G_ij,
@@ -274,7 +277,7 @@ class StinespringChannel(Channel):
         return lambda a: self.adjoint_rank_one(a, gram)
 
     def _gram_block(self, v: np.ndarray, i: int, j: int):
-        return v[i].conj().T @ v[j]
+        return adjoint_product(v[i], v[j])
 
 
 class MixedUnitaryChannel(StinespringChannel):
@@ -284,23 +287,27 @@ class MixedUnitaryChannel(StinespringChannel):
     the weights (strictly positive, summing to 1, checked first), which
     give the diagonal Gram blocks w_i I of `rank_one_lift` without a
     product.  Each U_i is checked to be unitary on its own: the stacked
-    isometry alone would only certify sum_i w_i U_i* U_i = I.  `_validated=True` skips
-    those checks, for samplers whose unitaries are exact by construction.
+    isometry alone would only certify sum_i w_i U_i* U_i = I.
+
+    `_validated=True` is for samplers whose unitaries are exact by
+    construction: it skips those checks and takes `unitaries` as the
+    C-ordered (k, n, n) array of the blocks sqrt(w_i) U_i, which becomes
+    the isometry without a copy.
     """
 
     def __init__(self, weights, unitaries, *, _validated: bool = False):
         w = validate_weights(weights)
-        us = [as_complex_matrix(u) for u in unitaries]
-        if len(us) != w.size:
+        blocks = unitaries if _validated else [as_complex_matrix(u) for u in unitaries]
+        if len(blocks) != w.size:
             raise DimensionMismatchError("one unitary required per weight")
-        n = us[0].shape[0]
-        for u in us:
-            if u.shape[0] != n:
-                raise DimensionMismatchError("unitaries must share a dimension")
-            if not _validated:
+        if not _validated:
+            for u in blocks:
+                if u.shape != blocks[0].shape:
+                    raise DimensionMismatchError("unitaries must share a dimension")
                 _check_isometry(u)
-        blocks = np.stack(us)
-        blocks *= np.sqrt(w)[:, None, None]
+            blocks = np.stack(blocks)
+            blocks *= np.sqrt(w)[:, None, None]
+        n = blocks.shape[-1]
         self.weights = w
         self.output_dim = int(w.size)
         self.env_dim = self.input_dim = n

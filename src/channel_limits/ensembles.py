@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MixedUnitaryChannel, StinespringChannel
+from .channels import MixedUnitaryChannel, StinespringChannel, validate_weights
 from .errors import DimensionMismatchError
 from .linalg import DensityMatrix, row_norms
+from .openblas import orthonormal_columns
 
 
 def stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:
@@ -26,35 +27,39 @@ def stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _complex_gaussian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+def _complex_gaussian(re: np.ndarray, im: np.ndarray, order: str = "C") -> np.ndarray:
     """Unit-variance complex Gaussians from real and imaginary standard normals.
 
-    Both parts are scaled by 1/sqrt(2) straight into one complex array.
-    numpy divides a complex array by a real scalar as a product with its
-    reciprocal, so the values are those of `(re + 1j * im) / np.sqrt(2.0)`,
-    bit for bit, without that expression's three temporaries.
+    Both parts are scaled by 1/sqrt(2) straight into one complex array of
+    the given memory order.  numpy divides a complex array by a real
+    scalar as a product with its reciprocal, so the values are those of
+    `(re + 1j * im) / np.sqrt(2.0)`, bit for bit, without that
+    expression's three temporaries.
     """
-    z = np.empty(re.shape, dtype=np.complex128)
+    z = np.empty(re.shape, dtype=np.complex128, order=order)
     scale = 1.0 / np.sqrt(2.0)
     np.multiply(re, scale, out=z.real)
     np.multiply(im, scale, out=z.imag)
     return z
 
 
-def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+def _ginibre(rows: int, cols: int, rng: np.random.Generator, order: str = "C") -> np.ndarray:
     # two draws rather than one (2, rows, cols) block: the block would give
     # the same stream, but two cm-convergence workers at n = 800 peaked
     # 27 MB higher with it
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
-    return _complex_gaussian(re, im)
+    return _complex_gaussian(re, im, order)
 
 
 def _haar_columns(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """QR of a rows x cols Ginibre matrix, with R's diagonal phases moved into Q."""
-    z = _ginibre(rows, cols, rng)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
+    """QR of a rows x cols Ginibre matrix, with R's diagonal phases moved into Q.
+
+    The Ginibre values are drawn into a Fortran-ordered array, which
+    `orthonormal_columns` overwrites with Q; the result is the value of
+    `np.linalg.qr` and the phase fix, bit for bit.
+    """
+    q, d = orthonormal_columns(_ginibre(rows, cols, rng, order="F"))
     q *= d / np.abs(d)
     return q
 
@@ -62,6 +67,7 @@ def _haar_columns(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix.
 
+    Returned Fortran-ordered where numpy's OpenBLAS is bound, else C-ordered.
     Mezzadri, "How to generate random matrices from the classical compact
     groups", Notices AMS 54 (2007).
     """
@@ -71,12 +77,15 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """First `cols` columns of a Haar unitary on C^rows, in distribution."""
+    """First `cols` columns of a Haar unitary on C^rows, in distribution.
+
+    Returned C-contiguous, so that a channel's reshapes of it are views.
+    """
     if cols > rows:
         raise DimensionMismatchError(f"isometry needs cols <= rows, got {cols} > {rows}")
     if cols <= 0 or rows <= 0:
         raise DimensionMismatchError("dimensions must be positive")
-    return _haar_columns(rows, cols, rng)
+    return np.ascontiguousarray(_haar_columns(rows, cols, rng))
 
 
 def sample_pure_state(
@@ -118,9 +127,19 @@ def sample_mixed_unitary_channel(
     of Haar measure; that law does not depend on U_1, so it is their law
     outright.  Drawing them directly gives the law of the k-unitary
     channel, as a random map, at one Haar draw fewer.
+
+    The (k, n, n) blocks sqrt(w_i) U_i are allocated once: block 0 is
+    sqrt(w_1) I, and each draw is scaled into its block, the rounding of
+    stacking the unitaries and then scaling them.
     """
-    us = [np.eye(n, dtype=np.complex128)] + [haar_unitary(n, rng) for _ in range(k - 1)]
-    return MixedUnitaryChannel(weights, us, _validated=True)
+    scale = np.sqrt(validate_weights(weights))
+    blocks = np.zeros((k, n, n), dtype=np.complex128)
+    blocks[0].flat[:: n + 1] = scale[0]
+    # a weight count other than k leaves blocks unfilled, and the channel
+    # refuses it
+    for block, s in zip(blocks[1:], scale[1:]):
+        np.multiply(haar_unitary(n, rng), s, out=block)
+    return MixedUnitaryChannel(weights, blocks, _validated=True)
 
 
 def sample_stinespring_channel(
@@ -170,7 +189,8 @@ def sample_unit_norm_povm(
     if not dims or any(d <= 0 for d in dims) or slack_dim < 0:
         raise DimensionMismatchError("need at least one block, and positive block dimensions")
     n = sum(dims) + slack_dim
-    u = haar_unitary(n, rng)
+    # C order, so each projector's product keeps the BLAS call it always had
+    u = np.ascontiguousarray(haar_unitary(n, rng))
     povm = []
     start = 0
     for d in dims:

@@ -11,7 +11,6 @@ stable schema:
 
 from __future__ import annotations
 
-import ctypes
 import json
 import logging
 import os
@@ -21,6 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import openblas
 from .channels import Channel, EBChannel, make_depolarizing
 from .config import ExperimentConfig
 from .ensembles import (
@@ -80,26 +80,6 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _openblas_thread_count():
-    """Getter and setter of the thread count of numpy's bundled OpenBLAS, or None.
-
-    dlsym on numpy's linalg extension also searches the libraries it links,
-    so this finds the OpenBLAS numpy runs on and not some other copy.
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-_BLAS_THREADS = _openblas_thread_count()
-
-
 @contextmanager
 def _one_blas_thread():
     """Run the body on one OpenBLAS thread, then restore the caller's count.
@@ -110,14 +90,14 @@ def _one_blas_thread():
     pool.  The count is process-wide, so it is set before any worker
     starts and restored after all have stopped.
     """
-    if _BLAS_THREADS is None:
+    if openblas._BLAS_THREADS is None:
         _log.warning(
             "BLAS thread count not set: numpy's BLAS exports no "
             "scipy_openblas_set_num_threads64_, so the bytes may depend on its thread count"
         )
         yield
         return
-    get, set_ = _BLAS_THREADS
+    get, set_ = openblas._BLAS_THREADS
     before = get()
     set_(1)
     try:

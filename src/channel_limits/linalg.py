@@ -72,17 +72,36 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+# rows of m - m* that `hermiticity_defect` forms at a time
+_DEFECT_BAND = 64
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-norm distance from m to its own adjoint; over a stack, the largest."""
-    return float(np.max(np.abs(m - _adjoint(m)))) if m.size else 0.0
+    """Max-norm distance from m to its own adjoint; over a stack, the largest.
+
+    Taken over bands of rows, so that an n x n matrix costs O(band n)
+    memory, not that of m - m* and its modulus; the maximum is the same.
+    """
+    if not m.size:
+        return 0.0
+    band, defect = _DEFECT_BAND, 0.0
+    for i in range(0, m.shape[-1], band):
+        rows = m[..., i : i + band, :] - _adjoint(m[..., :, i : i + band])
+        defect = np.maximum(defect, np.max(np.abs(rows)))  # keeps a NaN
+    return float(defect)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Hermitian part (m + m*) / 2 of a matrix or of each matrix in a stack.
 
-    Exactly Hermitian, and idempotent bit for bit.
+    Exactly Hermitian, and idempotent bit for bit.  It is built in one
+    C-ordered array, m* + m, then halved in place: the values of
+    (m + m*) / 2.0, since addition commutes.
     """
-    return (m + _adjoint(m)) / 2.0
+    out = np.conjugate(m.swapaxes(-1, -2), order="C")
+    out += m
+    out /= 2.0
+    return out
 
 
 def _hermitian_part(

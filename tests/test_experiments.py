@@ -19,7 +19,7 @@ from channel_limits.config import (
     parse_config_text,
     validate_config,
 )
-from channel_limits import experiments
+from channel_limits import experiments, openblas
 from channel_limits.channels import make_depolarizing
 from channel_limits.ensembles import (
     sample_mixed_unitary_channel,
@@ -825,10 +825,10 @@ def test_committed_bytes_do_not_depend_on_openblas_threads(tmp_path, blas_thread
     assert out.read_text() == (REPO / "results" / "weyl_invariance.csv").read_text()
 
 
-@pytest.mark.skipif(experiments._BLAS_THREADS is None, reason="numpy has no bundled OpenBLAS")
+@pytest.mark.skipif(openblas._BLAS_THREADS is None, reason="numpy has no bundled OpenBLAS")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_trials_run_on_one_blas_thread_and_the_callers_count_returns(monkeypatch, threads):
-    get, set_ = experiments._BLAS_THREADS
+    get, set_ = openblas._BLAS_THREADS
     seen = []
 
     def failing(cfg, trial, n):
@@ -850,7 +850,7 @@ def test_trials_run_on_one_blas_thread_and_the_callers_count_returns(monkeypatch
 def test_run_without_the_blas_setter_warns_once_and_keeps_its_records(monkeypatch, caplog):
     cfg = parse_config_text(CM_TEXT)
     pinned = run_experiment(cfg, threads=2)
-    monkeypatch.setattr(experiments, "_BLAS_THREADS", None)
+    monkeypatch.setattr(openblas, "_BLAS_THREADS", None)
     with caplog.at_level(logging.WARNING, logger="channel_limits"):
         unpinned = run_experiment(cfg, threads=2)
     assert unpinned == pinned

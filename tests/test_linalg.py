@@ -19,6 +19,7 @@ from channel_limits import (
     stream,
     von_neumann_entropy,
 )
+from channel_limits import linalg
 from channel_limits.errors import (
     DimensionMismatchError,
     InvalidDensityMatrixError,
@@ -75,6 +76,31 @@ def test_hermitize_is_exactly_hermitian_and_idempotent():
     assert np.array_equal(h, _random_hermitian(5, np.random.default_rng(2)))
     assert np.array_equal(h, h.conj().T)
     assert np.array_equal(hermitize(h), h)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (130, 130), (4, 7, 7)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_hermitize_is_the_two_sided_formula_bit_for_bit_in_c_order(shape, order):
+    # an F-ordered result would send later products down other BLAS calls
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m = np.asarray(m, order=order)
+    h = hermitize(m)
+    assert h.flags.c_contiguous
+    assert np.array_equal(h, (m + m.conj().swapaxes(-1, -2)) / 2.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (63, 63), (64, 64), (65, 65), (200, 200), (3, 130, 130)])
+def test_banded_hermiticity_defect_is_the_full_maximum(shape):
+    rng = np.random.default_rng(4)
+    m = hermitize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # one perturbed entry, in the last band of the last matrix
+    m[..., -1, 0] += 1e-3 * (1 + 2j)
+    full = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
+    assert linalg.hermiticity_defect(m) == full > 0.0
+    m[..., -1, -1] = np.nan
+    assert np.isnan(linalg.hermiticity_defect(m))
+    assert linalg.hermiticity_defect(m[..., :0, :0]) == 0.0
 
 
 def test_eigs_rejects_non_hermitian():
