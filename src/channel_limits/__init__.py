@@ -52,7 +52,6 @@ from .linalg import (
     hermitian_eigs,
     hermitize,
     normalize_states,
-    partial_trace_right,
     von_neumann_entropy,
 )
 from .oracles import (

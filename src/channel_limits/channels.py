@@ -13,8 +13,11 @@ the most structured description it was built from:
   for a POVM (M_i) and states (sigma_i).
 * ``DepolarizingChannel`` -- X -> Tr[X] I/k.
 
-Stinespring adjoints contract an observable A across the isometry's
-output blocks, so a lift never forms the (kn x kn) operator A (x) I.
+Both directions of a Stinespring channel contract over the isometry's k
+output blocks, so neither forms a (kn x kn) operator: a lift contracts
+an observable A across them instead of forming A (x) I, and the forward
+map takes Tr_env[V X V*] as one k x k product of the (k, env N) views of
+VX and V, holding only the (kn x N) product VX beyond its operands.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .linalg import (
     hermiticity_defect,
     hermitize,
     normalize_states,
-    partial_trace_right,
     unit_rows,
 )
 from .openblas import adjoint_product
@@ -194,7 +196,9 @@ class StinespringChannel(Channel):
     """
 
     def __init__(self, isometry, output_dim: int, env_dim: int, *, _validated: bool = False):
-        v = np.asarray(isometry, dtype=np.complex128)
+        # C order, so that the block reshapes below are views and
+        # `adjoint_product` reads the blocks in place
+        v = np.ascontiguousarray(isometry, dtype=np.complex128)
         if v.ndim != 2 or v.shape[0] != output_dim * env_dim:
             raise DimensionMismatchError(
                 f"isometry shape {v.shape} incompatible with ({output_dim}, {env_dim})"
@@ -209,9 +213,13 @@ class StinespringChannel(Channel):
         self.input_dim = v.shape[1]
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        big = self.isometry @ x @ self.isometry.conj().T
-        return partial_trace_right(big, self.output_dim, self.env_dim)
+        # Phi(X)_ij = sum_{e,b} (VX)_{(i,e),b} conj(V_{(j,e),b}), one product
+        # of the (k, env N) views of VX and V, taken as conj(conj(VX) V^T)
+        # with VX conjugated in place, so that no conjugate copy of V is made
+        k = self.output_dim
+        vx = self.isometry @ np.asarray(x, dtype=np.complex128)
+        np.conjugate(vx, out=vx)
+        return (vx.reshape(k, -1) @ self.isometry.reshape(k, -1).T).conj()
 
     def adjoint_matrix(self, y: np.ndarray) -> np.ndarray:
         # V*(A (x) I)V without forming the kn x kn operator: reshape V into

@@ -107,8 +107,6 @@ def _one_blas_thread():
 
 
 def _build_channel(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> Channel:
-    # Tr[U_i X U_j*] = Tr[(U_1* U_i) X (U_1* U_j)*], so the sampler's U_1 = I
-    # gives the same random map as k i.i.d. Haar unitaries
     kind = cfg.channel_kind()
     if kind == "mixed-unitary":
         return sample_mixed_unitary_channel(cfg.k, n, cfg.weights, rng)

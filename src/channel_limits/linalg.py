@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: spectra, the partial trace, states, entropy.
+"""Dense complex linear algebra: spectra, states, entropy.
 
 Conventions used everywhere in the package:
   * matrices are complex128 numpy arrays;
@@ -6,6 +6,10 @@ Conventions used everywhere in the package:
     position i*n + j (left factor major);
   * eigenvalues are reported in descending order;
   * entropies use the natural logarithm.
+
+There is no partial trace here: a Stinespring channel contracts over its
+isometry's k output blocks in both directions (see `channels`), so its
+forward map holds the (kn x N) product VX, never the (kn x kn) V X V*.
 """
 
 from __future__ import annotations
@@ -236,23 +240,6 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NoConvergenceError(str(exc)) from exc
     return vals[::-1].copy()
-
-
-def _check_bipartite(m: np.ndarray, left_dim: int, right_dim: int) -> None:
-    if left_dim <= 0 or right_dim <= 0:
-        raise DimensionMismatchError("factor dimensions must be positive")
-    if m.shape != (left_dim * right_dim, left_dim * right_dim):
-        raise DimensionMismatchError(
-            f"matrix shape {m.shape} incompatible with factors ({left_dim}, {right_dim})"
-        )
-
-
-def partial_trace_right(m, left_dim: int, right_dim: int) -> np.ndarray:
-    """Trace out the right factor of an operator on C^left (x) C^right."""
-    a = as_complex_matrix(m)
-    _check_bipartite(a, left_dim, right_dim)
-    t = a.reshape(left_dim, right_dim, left_dim, right_dim)
-    return np.einsum("ajbj->ab", t)
 
 
 class DensityMatrix:

@@ -40,6 +40,11 @@ def _input_matrix(eb: EBChannel, psi: Channel, vector) -> np.ndarray:
     return unit_vector(b).reshape(n, p)
 
 
+def _conditional_inputs(eb: EBChannel, mat: np.ndarray) -> list[np.ndarray]:
+    """B M_i^T B* for each POVM element M_i: Psi's input given outcome i, unnormalized."""
+    return [mat @ m.T @ mat.conj().T for m in eb.povm]
+
+
 def eb_tensor_output(eb: EBChannel, psi: Channel, vector) -> DensityMatrix:
     """Joint output of (measure-and-prepare) (x) Psi on a pure input.
 
@@ -51,8 +56,7 @@ def eb_tensor_output(eb: EBChannel, psi: Channel, vector) -> DensityMatrix:
     q = eb.output_dim
     kp = psi.output_dim
     out = np.zeros((q * kp, q * kp), dtype=np.complex128)
-    for m, sigma in zip(eb.povm, eb.states):
-        reduced = mat @ m.T @ mat.conj().T
+    for reduced, sigma in zip(_conditional_inputs(eb, mat), eb.states):
         out += np.kron(sigma, psi.apply_matrix(reduced))
     return DensityMatrix.normalized(out)
 
@@ -97,8 +101,7 @@ def eb_tensor_decompose(eb: EBChannel, psi: Channel, vector) -> EBTensorDecompos
             )
     weights = []
     states: list[DensityMatrix | None] = []
-    for m in eb.povm:
-        reduced = mat @ m.T @ mat.conj().T
+    for reduced in _conditional_inputs(eb, mat):
         w = float(np.trace(reduced).real)
         weights.append(max(0.0, w))
         if w > NEGLIGIBLE_WEIGHT:

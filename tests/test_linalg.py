@@ -1,5 +1,4 @@
-"""Dense Hermitian linear algebra: eigensolver, partial trace, density
-matrices, entropy."""
+"""Dense Hermitian linear algebra: eigensolver, density matrices, entropy."""
 
 import math
 
@@ -14,7 +13,6 @@ from channel_limits import (
     hermitian_eigs,
     hermitize,
     normalize_states,
-    partial_trace_right,
     sample_pure_state,
     stream,
     von_neumann_entropy,
@@ -257,61 +255,6 @@ def test_eigs_trace_and_sum_agree(seed, dim):
     m = _random_hermitian(dim, rng)
     vals = hermitian_eigenvalues(m)
     assert abs(vals.sum() - np.trace(m).real) <= 1e-9 * max(1.0, abs(vals).sum())
-
-
-# -------------------------------------------------------------- partial trace
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(3)
-    a = _random_hermitian(3, rng)
-    b = _random_hermitian(4, rng)
-    m = np.kron(a, b)
-    assert np.abs(partial_trace_right(m, 3, 4) - np.trace(b) * a).max() <= 1e-12
-
-
-def test_partial_trace_maximally_entangled():
-    omega = np.zeros(4, dtype=complex)
-    omega[0] = omega[3] = 1.0 / np.sqrt(2.0)
-    proj = np.outer(omega, omega.conj())
-    assert np.abs(partial_trace_right(proj, 2, 2) - np.eye(2) / 2).max() <= 1e-14
-
-
-def test_partial_trace_direct_index_sum():
-    # independent oracle: explicit loop over the traced index
-    rng = np.random.default_rng(14)
-    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    expect_r = np.zeros((3, 3), dtype=complex)
-    for a in range(3):
-        for b in range(3):
-            for j in range(4):
-                expect_r[a, b] += m[a * 4 + j, b * 4 + j]
-    assert np.abs(partial_trace_right(m, 3, 4) - expect_r).max() <= 1e-12
-    assert abs(np.trace(expect_r) - np.trace(m)) <= 1e-10
-
-
-def test_partial_trace_reductions_share_spectrum():
-    # both reductions of a pure state carry the same nonzero eigenvalues
-    rng = np.random.default_rng(5)
-    x = _random_unit_vector(15, rng)
-    rho = np.outer(x, x.conj())
-    # the left reduction is the right reduction of the factor-swapped vector
-    swapped = x.reshape(3, 5).T.reshape(-1)
-    ev_r = hermitian_eigenvalues(partial_trace_right(rho, 3, 5))
-    ev_l = hermitian_eigenvalues(
-        partial_trace_right(np.outer(swapped, swapped.conj()), 5, 3)
-    )
-    assert np.abs(ev_r - ev_l[:3]).max() <= 1e-10
-    assert np.abs(ev_l[3:]).max() <= 1e-10
-
-
-@given(seed=st.integers(0, 2**32 - 1), left=st.integers(2, 4), right=st.integers(2, 4))
-@settings(max_examples=40, deadline=None)
-def test_partial_trace_preserves_trace(seed, left, right):
-    rng = np.random.default_rng(seed)
-    d = left * right
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    assert abs(np.trace(partial_trace_right(m, left, right)) - np.trace(m)) <= 1e-9
 
 
 # ------------------------------------------------------------ density matrix
