@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Print per-dimension medians from one or more result files.
+"""Print per-grid-point medians from one or more result files.
 
 Usage: python scripts/summarize.py results/*.csv
 
-For each (experiment, n) group the script reports the median of the
-first value column, and of the error column where targets exist.
+For each (experiment, n, probe) group, one grid point (psistar-sweep's
+probe names its r), the script reports the median of the first value
+column, and of the error column where targets exist.
 """
 
 import csv
@@ -17,14 +18,14 @@ def summarize(path: str) -> None:
     groups = defaultdict(lambda: {"value": [], "error": []})
     with open(path, newline="") as handle:
         for row in csv.DictReader(handle):
-            key = (row["experiment"], int(row["n"]))
+            key = (row["experiment"], int(row["n"]), row["probe"])
             groups[key]["value"].append(float(row["value1"]))
             if row["error"]:
                 groups[key]["error"].append(float(row["error"]))
     print(path)
-    for (experiment, n), cols in sorted(groups.items()):
+    for (experiment, n, probe), cols in sorted(groups.items()):
         med_val = median(cols["value"])
-        line = f"  {experiment:20s} n={n:5d}  median value {med_val:.6f}"
+        line = f"  {experiment:20s} n={n:5d}  {probe:15s} median value {med_val:.6f}"
         if cols["error"]:
             line += f"  median error {median(cols['error']):.2e}"
         line += f"  trials {len(cols['value'])}"

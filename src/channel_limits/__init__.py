@@ -12,7 +12,6 @@ from .channels import (
     EBChannel,
     MixedUnitaryChannel,
     StinespringChannel,
-    make_depolarizing,
     make_pinching,
     validate_povm,
     validate_weights,

@@ -366,7 +366,7 @@ class EBChannel(Channel):
 
 
 class DepolarizingChannel(Channel):
-    """Fully depolarizing map X -> Tr[X] I/k."""
+    """Fully depolarizing map M_N -> M_k, X -> Tr[X] I/k: DepolarizingChannel(k, N)."""
 
     def __init__(self, output_dim: int, input_dim: int):
         if output_dim <= 0 or input_dim <= 0:
@@ -387,11 +387,6 @@ class DepolarizingChannel(Channel):
     def adjoint_matrix(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.complex128)
         return np.trace(y) / self.output_dim * np.eye(self.input_dim, dtype=np.complex128)
-
-
-def make_depolarizing(output_dim: int, input_dim: int) -> DepolarizingChannel:
-    """Depolarizing channel M_N -> M_k."""
-    return DepolarizingChannel(output_dim, input_dim)
 
 
 def make_pinching(dim: int) -> EBChannel:

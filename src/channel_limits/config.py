@@ -94,12 +94,9 @@ def _parse_float(key: str, raw: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
 
 
-def _parse_int_list(key: str, raw: str) -> tuple[int, ...]:
-    return tuple(_parse_int(key, part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
-    return tuple(_parse_float(key, part.strip()) for part in raw.split(",") if part.strip())
+def _parse_list(parse):
+    """Parser of a comma-separated list whose entries `parse` reads."""
+    return lambda key, raw: tuple(parse(key, p.strip()) for p in raw.split(",") if p.strip())
 
 
 def _parse_matrix(key: str, raw: str) -> tuple[tuple[complex, ...], ...]:
@@ -125,10 +122,10 @@ def _parse_matrix(key: str, raw: str) -> tuple[tuple[complex, ...], ...]:
 _PARSERS = {
     "experiment": lambda k, v: v,
     "k": _parse_int,
-    "weights": _parse_float_list,
+    "weights": _parse_list(_parse_float),
     "t": _parse_float,
-    "nGrid": _parse_int_list,
-    "rGrid": _parse_float_list,
+    "nGrid": _parse_list(_parse_int),
+    "rGrid": _parse_list(_parse_float),
     "trials": _parse_int,
     "masterSeed": _parse_int,
     "m": _parse_int,

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import openblas
-from .channels import Channel, EBChannel, make_depolarizing
+from .channels import Channel, DepolarizingChannel, EBChannel
 from .config import ExperimentConfig
 from .ensembles import (
     StinespringRegime,
@@ -112,7 +112,7 @@ def _build_channel(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> C
         return sample_mixed_unitary_channel(cfg.k, n, cfg.weights, rng)
     if kind == "stinespring":
         return StinespringRegime(cfg.k, cfg.t).sample(n, rng)
-    return make_depolarizing(cfg.k, n)
+    return DepolarizingChannel(cfg.k, n)
 
 
 def _build_probe(
@@ -159,8 +159,7 @@ def _record(cfg, trial, n, probe, values, target):
     )
 
 
-def _run_cm_convergence(cfg, trial, n):
-    rng = stream(cfg.master_seed, trial)
+def _run_cm_convergence(cfg, trial, n, rng):
     channel = _build_channel(cfg, n, rng)
     observable, coeff = _build_probe(cfg, rng)
     target = _rank_one_target(cfg, coeff)
@@ -170,8 +169,7 @@ def _run_cm_convergence(cfg, trial, n):
     return _record(cfg, trial, n, cfg.probe, (*vals, vals[0] - vals[-1]), target), None
 
 
-def _run_norm_limit(cfg, trial, n):
-    rng = stream(cfg.master_seed, trial)
+def _run_norm_limit(cfg, trial, n, rng):
     channel = _build_channel(cfg, n, rng)
     kind = cfg.channel_kind()
     if kind == "mixed-unitary":
@@ -184,8 +182,7 @@ def _run_norm_limit(cfg, trial, n):
     return _record(cfg, trial, n, "ascent", (ascent.value,), target), ascent
 
 
-def _run_weyl_invariance(cfg, trial, n):
-    rng = stream(cfg.master_seed, trial)
+def _run_weyl_invariance(cfg, trial, n, rng):
     channel = _build_channel(cfg, n, rng)
     observable, coeff = _build_probe(cfg, rng)
     target = _rank_one_target(cfg, coeff)
@@ -202,8 +199,7 @@ def _run_weyl_invariance(cfg, trial, n):
     return _record(cfg, trial, n, cfg.probe, tuple(values), target), None
 
 
-def _run_eb_tensor(cfg, trial, n):
-    rng = stream(cfg.master_seed, trial)
+def _run_eb_tensor(cfg, trial, n, rng):
     povm = sample_projective_povm([1] * cfg.k, rng)
     states = [sample_density_matrix(cfg.k, rng) for _ in range(cfg.k)]
     eb = EBChannel(povm, states)
@@ -233,8 +229,7 @@ def _cloud_outputs(channel: Channel, samples: int, rng) -> list[np.ndarray]:
     ]
 
 
-def _run_output_cloud(cfg, trial, n):
-    rng = stream(cfg.master_seed, trial)
+def _run_output_cloud(cfg, trial, n, rng):
     channel = _build_channel(cfg, n, rng)
     ascent = norm_ascent(channel, rng, cfg.restarts, cfg.iter_cap)
     outputs = [r.output for r in ascent.restarts]
@@ -249,16 +244,17 @@ def _run_output_cloud(cfg, trial, n):
     return _record(cfg, trial, n, "cloud", (smin, holevo, ascent.value), target), ascent
 
 
-def _run_psistar_sweep(cfg, trial, r):
+def _run_psistar_sweep(cfg, trial, r, rng):
     result = sphere_sup(one_heavy_weights(cfg.k, r))
     target = one_heavy_sup_value(r) if cfg.k == 4 else None
     values = (result.value, float(len(result.argmax_subset)))
     return _record(cfg, trial, 0, f"r={r!r}", values, target), None
 
 
-# each runner maps (cfg, trial, point) to the trial's record and its
+# each runner maps (cfg, trial, point, rng) to the trial's record and its
 # NormAscent, or None for a trial without an ascent; the point is the
-# trial's n, or psistar-sweep's r
+# trial's n, or psistar-sweep's r, and rng is the trial's stream (None
+# for psistar-sweep)
 _TRIAL_RUNNERS = {
     "cm-convergence": _run_cm_convergence,
     "norm-limit": _run_norm_limit,
@@ -318,12 +314,22 @@ def _run_trials(cfg: ExperimentConfig, threads: int) -> list:
     runner = _TRIAL_RUNNERS[cfg.experiment]
     points = cfg.r_grid or cfg.n_grid
     specs = list(enumerate(p for p in points for _ in range(cfg.trials)))
+
+    def run(spec):
+        # keyed on the worker through the module global, so a wrapper of
+        # `stream` (perfbench's trial marker) sees each thread's trial; the
+        # closed-form sweep draws nothing, and its first Generator would
+        # import numpy.random, 5.7 MB of resident memory, into its run
+        trial, point = spec
+        rng = None if cfg.experiment == "psistar-sweep" else stream(cfg.master_seed, trial)
+        return runner(cfg, trial, point, rng)
+
     if threads <= 1:
-        return [runner(cfg, *s) for s in specs]
+        return [run(s) for s in specs]
     # sorted is stable, so trials of one n keep their index order
     largest_first = sorted(specs, key=lambda s: -s[1])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        done = dict(zip(largest_first, pool.map(lambda s: runner(cfg, *s), largest_first)))
+        done = dict(zip(largest_first, pool.map(run, largest_first)))
     return [done[s] for s in specs]
 
 

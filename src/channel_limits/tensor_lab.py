@@ -45,6 +45,16 @@ def _conditional_inputs(eb: EBChannel, mat: np.ndarray) -> list[np.ndarray]:
     return [mat @ m.T @ mat.conj().T for m in eb.povm]
 
 
+def _joint_output(eb: EBChannel, psi: Channel, weights, inputs) -> np.ndarray:
+    """sum_i weights[i] sigma_i (x) Psi(inputs[i]), skipping a None input."""
+    dim = eb.output_dim * psi.output_dim
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for w, x, sigma in zip(weights, inputs, eb.states):
+        if x is not None:
+            out += w * np.kron(sigma, psi.apply_matrix(x))
+    return out
+
+
 def eb_tensor_output(eb: EBChannel, psi: Channel, vector) -> DensityMatrix:
     """Joint output of (measure-and-prepare) (x) Psi on a pure input.
 
@@ -52,13 +62,8 @@ def eb_tensor_output(eb: EBChannel, psi: Channel, vector) -> DensityMatrix:
     output lives on C^q (x) C^{k_psi} with the prepared states on the
     left.
     """
-    mat = _input_matrix(eb, psi, vector)
-    q = eb.output_dim
-    kp = psi.output_dim
-    out = np.zeros((q * kp, q * kp), dtype=np.complex128)
-    for reduced, sigma in zip(_conditional_inputs(eb, mat), eb.states):
-        out += np.kron(sigma, psi.apply_matrix(reduced))
-    return DensityMatrix.normalized(out)
+    inputs = _conditional_inputs(eb, _input_matrix(eb, psi, vector))
+    return DensityMatrix.normalized(_joint_output(eb, psi, [1.0] * len(inputs), inputs))
 
 
 @dataclass(frozen=True)
@@ -75,14 +80,8 @@ class EBTensorDecomposition:
 
     def reconstruct(self, eb: EBChannel, psi: Channel) -> np.ndarray:
         """Reassemble sum_i weights[i] sigma_i (x) Psi(states[i])."""
-        q = eb.output_dim
-        kp = psi.output_dim
-        out = np.zeros((q * kp, q * kp), dtype=np.complex128)
-        for w, state, sigma in zip(self.weights, self.states, eb.states):
-            if state is None:
-                continue
-            out += w * np.kron(sigma, psi.apply_matrix(state.matrix))
-        return out
+        inputs = [None if s is None else s.matrix for s in self.states]
+        return _joint_output(eb, psi, self.weights, inputs)
 
 
 def eb_tensor_decompose(eb: EBChannel, psi: Channel, vector) -> EBTensorDecomposition:

@@ -13,6 +13,7 @@ import pytest
 
 from channel_limits import (
     DensityMatrix,
+    DepolarizingChannel,
     EBChannel,
     StinespringRegime,
     eb_limit,
@@ -23,7 +24,6 @@ from channel_limits import (
     free_unitary_sum_norm,
     hermitian_eigenvalues,
     holevo_from_smin,
-    make_depolarizing,
     make_pinching,
     maximize_over_sphere,
     mixed_unitary_norm_limit,
@@ -160,8 +160,9 @@ def test_06_measure_and_prepare_spectra():
             multiplicity = int(np.sum(vals >= want - 1e-8))
             assert multiplicity >= min(dims)
         for k in (2, 3, 5):
-            ch = make_depolarizing(k, 4)
-            a = sample_density_matrix(4, rng).matrix
+            # the observable lives on the output side, C^k
+            ch = DepolarizingChannel(k, 4)
+            a = sample_density_matrix(k, rng).matrix
             vals = hermitian_eigenvalues(ch.adjoint_matrix(a))
             assert np.abs(vals - 1.0 / k).max() <= 1e-12
 

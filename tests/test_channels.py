@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from channel_limits import (
     DensityMatrix,
+    DepolarizingChannel,
     EBChannel,
     MixedUnitaryChannel,
     StinespringChannel,
@@ -16,7 +17,6 @@ from channel_limits import (
     haar_isometry,
     haar_unitary,
     hermitian_eigenvalues,
-    make_depolarizing,
     make_pinching,
     sample_density_matrix,
     sample_mixed_unitary_channel,
@@ -113,7 +113,7 @@ def test_stinespring_rejects_non_isometry():
 
 
 def test_apply_rejects_wrong_dimension():
-    ch = make_depolarizing(3, 4)
+    ch = DepolarizingChannel(3, 4)
     with pytest.raises(DimensionMismatchError):
         ch.apply(DensityMatrix.maximally_mixed(3))
 
@@ -123,7 +123,7 @@ def test_apply_rejects_wrong_dimension():
 
 def test_depolarizing_sends_everything_to_maximally_mixed():
     rng = np.random.default_rng(2)
-    ch = make_depolarizing(3, 5)
+    ch = DepolarizingChannel(3, 5)
     for _ in range(3):
         out = ch.apply(sample_density_matrix(5, rng))
         assert np.abs(out.matrix - np.eye(3) / 3).max() <= 1e-12
@@ -193,7 +193,7 @@ def test_prepared_states_are_checked_where_they_enter(state):
 
 
 def test_depolarizing_adjoint():
-    ch = make_depolarizing(3, 5)
+    ch = DepolarizingChannel(3, 5)
     a = _random_hermitian(3, np.random.default_rng(6))
     expect = np.trace(a) * np.eye(5) / 3
     assert np.abs(ch.adjoint_matrix(a) - expect).max() <= 1e-12
@@ -281,7 +281,7 @@ def test_rank_one_fast_paths_match_generic():
     channels = [
         _haar_mixed_unitary([0.2, 0.3, 0.5], 5, rng),
         sample_stinespring_channel(2, 4, 6, rng),
-        make_depolarizing(3, 4),
+        DepolarizingChannel(3, 4),
     ]
     for ch in channels:
         x = sample_pure_state(ch.input_dim, rng)
@@ -302,7 +302,7 @@ def _sample_channel(kind, rng):
     if kind == "eb":
         povm = sample_projective_povm([1, 2, 2], rng)
         return EBChannel(povm, [sample_density_matrix(3, rng) for _ in povm])
-    return make_depolarizing(3, 4)
+    return DepolarizingChannel(3, 4)
 
 
 @pytest.mark.parametrize("kind", ["stinespring", "mixed-unitary", "eb", "depolarizing"])
@@ -586,7 +586,7 @@ def test_trace_preservation(seed):
     channels = [
         _haar_mixed_unitary([0.5, 0.5], 3, rng),
         sample_stinespring_channel(2, 3, 4, rng),
-        make_depolarizing(2, 3),
+        DepolarizingChannel(2, 3),
         make_pinching(3),
     ]
     for ch in channels:

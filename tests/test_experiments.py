@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,8 +20,8 @@ from channel_limits.config import (
     parse_config_text,
     validate_config,
 )
-from channel_limits import experiments, openblas
-from channel_limits.channels import make_depolarizing
+from channel_limits import config, experiments, openblas
+from channel_limits.channels import DepolarizingChannel
 from channel_limits.ensembles import (
     sample_mixed_unitary_channel,
     sample_pure_state,
@@ -707,7 +708,7 @@ def _cloud_channel(kind, rng):
         return sample_stinespring_channel(2, CLOUD_N, 120, rng)
     if kind == "mixed-unitary":
         return sample_mixed_unitary_channel(2, CLOUD_N, [0.3, 0.7], rng)
-    return make_depolarizing(2, CLOUD_N)
+    return DepolarizingChannel(2, CLOUD_N)
 
 
 def _per_sample_cloud(channel, samples, rng):
@@ -831,7 +832,7 @@ def test_trials_run_on_one_blas_thread_and_the_callers_count_returns(monkeypatch
     get, set_ = openblas._BLAS_THREADS
     seen = []
 
-    def failing(cfg, trial, n):
+    def failing(cfg, trial, n, rng):
         seen.append(get())
         raise RuntimeError(f"trial {trial} failed")
 
@@ -859,6 +860,59 @@ def test_run_without_the_blas_setter_warns_once_and_keeps_its_records(monkeypatc
     assert "thread count not set" in warnings[0].getMessage()
 
 
+# one small config per experiment, each with more than one trial
+_TINY_TEXTS = {
+    "cm-convergence": CM_TEXT,
+    "norm-limit": "experiment = norm-limit\nk = 2\nchannel = depolarizing\n"
+    "nGrid = 3, 4\ntrials = 2\nrestarts = 2\niterCap = 5\n",
+    "psistar-sweep": SWEEP_TEXT,
+    "stinespring-peak": "experiment = stinespring-peak\nk = 2\nt = 0.5\nnGrid = 4\n"
+    "trials = 3\nrestarts = 2\niterCap = 5\n",
+    "weyl-invariance": "experiment = weyl-invariance\nk = 2\nweights = 0.4, 0.6\n"
+    "nGrid = 3\ntrials = 2\n",
+    "eb-tensor": "experiment = eb-tensor\nk = 2\nnGrid = 2, 3\ntrials = 2\n",
+    "output-cloud": "experiment = output-cloud\nk = 2\nchannel = depolarizing\n"
+    "nGrid = 3\ntrials = 2\nrestarts = 2\niterCap = 5\nsamples = 4\n",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_driver_keys_each_trials_stream_exactly_once(monkeypatch, threads):
+    # no experiment is accepted without a runner
+    assert set(experiments._TRIAL_RUNNERS) == set(config._READS["experiment"])
+    assert set(_TINY_TEXTS) == set(experiments._TRIAL_RUNNERS)
+    keyed = []
+
+    def recording(master_seed, stream_index=0):
+        keyed.append((stream_index, threading.get_ident()))
+        return stream(master_seed, stream_index)
+
+    monkeypatch.setattr(experiments, "stream", recording)
+    for name, text in _TINY_TEXTS.items():
+        keyed.clear()
+        records = run_experiment(parse_config_text(text), threads=threads)
+        assert len(records) > 1
+        # the closed-form sweep draws nothing, so none of its trials is keyed
+        trials = [] if name == "psistar-sweep" else list(range(len(records)))
+        assert sorted(index for index, _ in keyed) == trials, name
+        if threads > 1:  # keyed on the worker that runs the trial
+            assert threading.main_thread().ident not in {ident for _, ident in keyed}
+
+
+def test_the_sweep_runs_without_importing_numpy_random():
+    # numpy imports numpy.random on first use; it adds 5.7 MB of resident
+    # memory to a sweep that draws nothing
+    code = (
+        "import sys\n"
+        "from channel_limits import parse_config_text, run_experiment\n"
+        f"run_experiment(parse_config_text({SWEEP_TEXT!r}))\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_pool_takes_the_largest_trials_first_and_emits_in_trial_order(monkeypatch):
     class InOrder:
         """An executor that runs its map in submission order on the caller's thread."""
@@ -877,7 +931,7 @@ def test_pool_takes_the_largest_trials_first_and_emits_in_trial_order(monkeypatc
 
     started = []
 
-    def runner(cfg, trial, n):
+    def runner(cfg, trial, n, rng):
         started.append(trial)
         return experiments._record(cfg, trial, n, "p", (float(n),), None), None
 

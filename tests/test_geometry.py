@@ -8,6 +8,7 @@ import pytest
 
 from channel_limits import (
     DensityMatrix,
+    DepolarizingChannel,
     EBChannel,
     StinespringChannel,
     StinespringRegime,
@@ -15,7 +16,6 @@ from channel_limits import (
     estimate_smin,
     hermitian_eigenvalues,
     holevo_from_smin,
-    make_depolarizing,
     mixed_unitary_norm_limit,
     norm_ascent,
     probe_top_eigenvalues,
@@ -40,7 +40,7 @@ from channel_limits.errors import (
 
 
 def test_probe_depolarizing_is_exactly_flat():
-    ch = make_depolarizing(4, 6)
+    ch = DepolarizingChannel(4, 6)
     a = sample_density_matrix(4, stream(0, 0)).matrix
     vals = probe_top_eigenvalues(ch, a, 5)
     assert np.abs(vals - 0.25).max() <= 1e-12
@@ -74,7 +74,7 @@ def test_probe_eb_channel_hits_limit_with_multiplicity():
 
 
 def test_ascent_depolarizing_converges_immediately():
-    ch = make_depolarizing(4, 5)
+    ch = DepolarizingChannel(4, 5)
     res = norm_ascent(ch, stream(5, 0), restarts=2, iter_cap=10)
     assert res.value == pytest.approx(0.25, abs=1e-12)
     assert res.best.trajectory[0] == pytest.approx(0.25, abs=1e-12)
@@ -87,7 +87,7 @@ def test_ascent_depolarizing_converges_immediately():
 def test_ascent_best_is_the_first_restart_with_the_largest_value():
     # every restart on a depolarizing channel ends at exactly 1/k, so the
     # tie goes to the first
-    ch = make_depolarizing(4, 5)
+    ch = DepolarizingChannel(4, 5)
     res = norm_ascent(ch, stream(5, 0), restarts=3, iter_cap=10)
     assert [r.value for r in res.restarts] == [0.25] * 3
     assert res.best is res.restarts[0]

@@ -130,10 +130,10 @@ def test_mixed_unitary_trial_peaks_within_five_and_a_half_n_squared():
         "experiment = cm-convergence\nk = 3\nweights = 0.2, 0.3, 0.5\n"
         f"nGrid = {n}\ntrials = 1\nm = 5\nmasterSeed = 3\n"
     )
-    experiments._run_cm_convergence(cfg, 0, n)  # first-call allocations
+    experiments._run_cm_convergence(cfg, 0, n, stream(3, 0))  # first-call allocations
     tracemalloc.start()
     try:
-        experiments._run_cm_convergence(cfg, 0, n)
+        experiments._run_cm_convergence(cfg, 0, n, stream(3, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

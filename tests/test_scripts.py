@@ -25,13 +25,23 @@ def test_summarize_prints_one_line_per_experiment_and_dimension(monkeypatch, cap
     assert len(RESULTS) == 7
     assert [line for line in lines if not line.startswith("  ")] == list(map(str, RESULTS))
     groups = []
+    sweep = {}
     for path in RESULTS:
         with open(path, newline="") as handle:
-            keys = {(row["experiment"], int(row["n"])) for row in csv.DictReader(handle)}
-        groups += [f"  {e:20s} n={n:5d}" for e, n in sorted(keys)]
+            rows = list(csv.DictReader(handle))
+        keys = {(row["experiment"], int(row["n"]), row["probe"]) for row in rows}
+        groups += [f"  {e:20s} n={n:5d}  {p:15s} " for e, n, p in sorted(keys)]
+        sweep.update(
+            (r["probe"], float(r["value1"])) for r in rows if r["experiment"] == "psistar-sweep"
+        )
     body = [line for line in lines if line.startswith("  ")]
     assert len(body) == len(groups)
     assert all(line.startswith(group) for line, group in zip(body, groups))
+    # one line per r, whose median is that r's one row
+    sweep_lines = [line for line in body if line.split()[0] == "psistar-sweep"]
+    assert len(sweep_lines) == len(sweep) == 8
+    for line in sweep_lines:
+        assert f"median value {sweep[line.split()[3]]:.6f} " in line  # after "n=", "0"
 
 
 def test_summarize_without_paths_is_exit_one(monkeypatch, capsys):

@@ -126,14 +126,24 @@ def test_decomposition_single_outcome():
 
 def test_decomposition_reconstructs_random_instances():
     rng = stream(1, 1)
+    cases = []
     for trial in range(5):
         eb = _projective_eb((1, 2), 3, rng)
         psi = sample_stinespring_channel(2, 2, 3, rng)
-        b = _unit_bipartite(3, 3, rng)
+        cases.append((eb, psi, _unit_bipartite(3, 3, rng)))
+    # the pinching's outcome 2 has zero weight: the input's last column vanishes
+    psi = sample_stinespring_channel(2, 2, 3, rng)
+    b = np.hstack([sample_pure_state(6, rng).reshape(3, 2), np.zeros((3, 1))])
+    cases.append((make_pinching(3), psi, b.reshape(-1)))
+    for eb, psi, b in cases:
         dec = eb_tensor_decompose(eb, psi, b)
         assert sum(dec.weights) == pytest.approx(1.0, abs=1e-12)
-        want = eb_tensor_output(eb, psi, b).matrix
-        assert np.abs(dec.reconstruct(eb, psi) - want).max() <= 1e-10
+        got = dec.reconstruct(eb, psi)
+        # the joint output shares reconstruct's sum, so the index-sum
+        # expansion is the decomposition's independent oracle
+        assert np.abs(got - eb_tensor_output(eb, psi, b).matrix).max() <= 1e-10
+        assert np.abs(got - _direct_tensor_output(eb, psi, b)).max() <= 1e-10
+    assert dec.weights[2] == 0.0 and dec.states[2] is None
 
 
 def test_decomposition_pinching_reproduces_direct_sum():
