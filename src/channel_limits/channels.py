@@ -40,7 +40,7 @@ from .linalg import (
     normalize_states,
     unit_rows,
 )
-from .openblas import adjoint_product
+from .openblas import adjoint_product, adjoint_square
 
 ISOMETRY_TOL = 1e-10
 POVM_TOL = 1e-10
@@ -104,6 +104,27 @@ def _operand(obj, dim: int, what: str, side: str) -> np.ndarray:
     if a.shape[-1] != dim:
         raise DimensionMismatchError(f"{what} dim {a.shape[-1]} != channel {side} dim {dim}")
     return a
+
+
+# rows of B = sum_i c_i V_i formed at a time for the rank-one lift
+_PANEL_ROWS = 128
+
+
+def _row_panels(c: np.ndarray, v: np.ndarray):
+    """The rows of B = sum_i c_i v[i], for a C-ordered (k, r, m) stack v, _PANEL_ROWS at a time.
+
+    Each panel is one product of c with the matching rows of every v[i],
+    a strided view that `np.matmul` reads in place (`np.dot` would copy
+    it), into one buffer the generator reuses: a panel is read before the
+    next one is asked for, and no r x m B is made.  The panels are the
+    rows of `np.tensordot(c, v, axes=(0, 0))`, bit for bit.
+    """
+    k, r, m = v.shape
+    buf = np.empty((min(r, _PANEL_ROWS), m), dtype=np.complex128)
+    for i in range(0, r, _PANEL_ROWS):
+        panel = buf[: min(_PANEL_ROWS, r - i)]
+        np.matmul(c, v[:, i : i + len(panel)].reshape(k, -1), out=panel.reshape(-1))
+        yield panel
 
 
 class Channel:
@@ -245,6 +266,9 @@ class StinespringChannel(Channel):
         a = np.asarray(vector, dtype=np.complex128).reshape(-1)
         if gram is None:
             v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
+            lift = adjoint_square(_row_panels(a.conj(), v))  # None without zherk
+            if lift is not None:
+                return lift
             b = np.tensordot(a.conj(), v, axes=(0, 0))
             lift = adjoint_product(b, b)
             del b  # B goes before hermitize allocates its output

@@ -8,6 +8,8 @@ of how many other trials run or on which threads.
 
 from __future__ import annotations
 
+import functools
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,29 +29,47 @@ def stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _complex_gaussian(re: np.ndarray, im: np.ndarray, order: str = "C") -> np.ndarray:
+def _complex_gaussian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Unit-variance complex Gaussians from real and imaginary standard normals.
 
-    Both parts are scaled by 1/sqrt(2) straight into one complex array of
-    the given memory order.  numpy divides a complex array by a real
-    scalar as a product with its reciprocal, so the values are those of
+    Both parts are scaled by 1/sqrt(2) straight into one complex array.
+    numpy divides a complex array by a real scalar as a product with its
+    reciprocal, so the values are those of
     `(re + 1j * im) / np.sqrt(2.0)`, bit for bit, without that
     expression's three temporaries.
     """
-    z = np.empty(re.shape, dtype=np.complex128, order=order)
+    z = np.empty(re.shape, dtype=np.complex128)
     scale = 1.0 / np.sqrt(2.0)
     np.multiply(re, scale, out=z.real)
     np.multiply(im, scale, out=z.imag)
     return z
 
 
+# rows of normals drawn at a time into a Ginibre matrix, and the side of
+# the tiles a transpose in place swaps
+_BAND = 64
+
+
+def _fill_ginibre(z: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill the complex matrix z, in place, with unit-variance complex Gaussians.
+
+    The real parts are drawn row by row, then the imaginary parts, each
+    scaled by 1/sqrt(2) as `_complex_gaussian` scales them: the stream and
+    the values of drawing both as whole matrices, bit for bit.  They are
+    drawn _BAND rows at a time, so no matrix-sized temporary is made,
+    whatever z's memory order.
+    """
+    scale = 1.0 / np.sqrt(2.0)
+    for part in (z.real, z.imag):
+        for i in range(0, part.shape[0], _BAND):
+            rows = part[i : i + _BAND]
+            np.multiply(rng.standard_normal(rows.shape), scale, out=rows)
+
+
 def _ginibre(rows: int, cols: int, rng: np.random.Generator, order: str = "C") -> np.ndarray:
-    # two draws rather than one (2, rows, cols) block: the block would give
-    # the same stream, but two cm-convergence workers at n = 800 peaked
-    # 27 MB higher with it
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return _complex_gaussian(re, im, order)
+    z = np.empty((rows, cols), dtype=np.complex128, order=order)
+    _fill_ginibre(z, rng)
+    return z
 
 
 def _haar_columns(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -64,16 +84,50 @@ def _haar_columns(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_in_place(block: np.ndarray, scale: float = 1.0) -> None:
+    """Turn the Ginibre matrix z = block.T into its Haar unitary, in the block's bytes.
+
+    block is C-ordered, so z is Fortran-ordered and its QR runs in place;
+    the phase fix and then `scale` multiply Q as `_haar_columns` and a
+    product with the scale would, and a transpose in place, a tile at a
+    time, leaves scale * Q in the block, C-ordered.
+    """
+    z = block.T
+    q, d = orthonormal_columns(z)
+    q *= d / np.abs(d)
+    if scale != 1.0:  # a product with 1.0 changes no bit
+        q *= scale
+    if q is not z:  # numpy's qr, where the kernels are not bound
+        block[...] = q
+        return
+    tiles = [slice(i, i + _BAND) for i in range(0, block.shape[0], _BAND)]
+    for t, rows in enumerate(tiles):
+        block[rows, rows] = block[rows, rows].T.copy()
+        for cols in tiles[t + 1 :]:
+            upper = block[rows, cols].copy()
+            block[rows, cols] = block[cols, rows].T
+            block[cols, rows] = upper.T
+
+
+def haar_unitary(dim: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix.
 
-    Returned Fortran-ordered where numpy's OpenBLAS is bound, else C-ordered.
+    Returned Fortran-ordered where numpy's OpenBLAS is bound, else
+    C-ordered.  With `out`, a C-contiguous complex128 (dim, dim) array, the
+    same values are built in its bytes, C-ordered, and `out` is returned:
+    no other dim x dim buffer is made.
     Mezzadri, "How to generate random matrices from the classical compact
     groups", Notices AMS 54 (2007).
     """
     if dim <= 0:
         raise DimensionMismatchError("dimension must be positive")
-    return _haar_columns(dim, dim, rng)
+    if out is None:
+        return _haar_columns(dim, dim, rng)
+    if out.shape != (dim, dim) or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise DimensionMismatchError(f"out must be a C-contiguous complex ({dim}, {dim}) array")
+    _fill_ginibre(out.T, rng)
+    _haar_in_place(out)
+    return out
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,7 +167,7 @@ def sample_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
 
 
 def sample_mixed_unitary_channel(
-    k: int, n: int, weights, rng: np.random.Generator
+    k: int, n: int, weights, rng: np.random.Generator, pool: Executor | None = None
 ) -> MixedUnitaryChannel:
     """Channel of k i.i.d. Haar unitaries on C^n: U_1 = I, then k - 1 Haar draws.
 
@@ -129,16 +183,37 @@ def sample_mixed_unitary_channel(
     channel, as a random map, at one Haar draw fewer.
 
     The (k, n, n) blocks sqrt(w_i) U_i are allocated once: block 0 is
-    sqrt(w_1) I, and each draw is scaled into its block, the rounding of
-    stacking the unitaries and then scaling them.
+    sqrt(w_1) I, and each draw is built and scaled in its own block, with
+    the rounding of stacking the unitaries and then scaling them.
+
+    Every Ginibre matrix is drawn here, in stream order.  With a `pool`, a
+    concurrent.futures executor, the QR of each unitary but the last is
+    submitted to it as a helper task; the last one runs here, then each
+    helper is joined.  A helper that no worker has started yet is
+    cancelled and run here, so the sampler never waits on queued work, and
+    a busy pool costs nothing.  The QRs depend only on their blocks, so
+    the isometry is the same bytes with or without a pool.
     """
     scale = np.sqrt(validate_weights(weights))
     blocks = np.zeros((k, n, n), dtype=np.complex128)
-    blocks[0].flat[:: n + 1] = scale[0]
     # a weight count other than k leaves blocks unfilled, and the channel
     # refuses it
-    for block, s in zip(blocks[1:], scale[1:]):
-        np.multiply(haar_unitary(n, rng), s, out=block)
+    helpers = []
+    for block, s in zip(blocks[1:-1], scale[1:-1]):
+        _fill_ginibre(block.T, rng)
+        task = functools.partial(_haar_in_place, block, s)
+        if pool is None:
+            task()
+        else:
+            helpers.append((pool.submit(task), task))
+    if k > 1:
+        np.multiply(haar_unitary(n, rng, out=blocks[-1]), scale[-1], out=blocks[-1])
+    for future, task in helpers:
+        if future.cancel():
+            task()
+        else:
+            future.result()
+    blocks[0].flat[:: n + 1] = scale[0]
     return MixedUnitaryChannel(weights, blocks, _validated=True)
 
 

@@ -11,11 +11,13 @@ stable schema:
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Executor, ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -106,10 +108,15 @@ def _one_blas_thread():
         set_(before)
 
 
+# the trial pool of the trial running in this context, to which its sampler
+# hands helper tasks; None when the trials run one after another
+_TRIAL_POOL: ContextVar[Executor | None] = ContextVar("trial_pool", default=None)
+
+
 def _build_channel(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> Channel:
     kind = cfg.channel_kind()
     if kind == "mixed-unitary":
-        return sample_mixed_unitary_channel(cfg.k, n, cfg.weights, rng)
+        return sample_mixed_unitary_channel(cfg.k, n, cfg.weights, rng, _TRIAL_POOL.get())
     if kind == "stinespring":
         return StinespringRegime(cfg.k, cfg.t).sample(n, rng)
     return DepolarizingChannel(cfg.k, n)
@@ -296,10 +303,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRe
     Every trial runs on one OpenBLAS thread, whatever `threads` is, so the
     records are the same bytes for any worker count and any
     OPENBLAS_NUM_THREADS.  A pool of `threads` workers takes the trials
-    largest n (or r) first, so the longest trials do not start last.  A
-    config whose trials run the norm ascent also logs, at INFO, how many
-    of their restarts stopped without converging and how many reached
-    their trial's best value.
+    largest n (or r) first, so the longest trials do not start last, and
+    a worker that comes free runs the pending Haar QRs of running trials
+    before it starts the next trial.  A config whose trials run the norm
+    ascent also logs, at INFO, how many of their restarts stopped without
+    converging and how many reached their trial's best value.
     """
     with _one_blas_thread():
         results = _run_trials(cfg, threads)
@@ -315,21 +323,39 @@ def _run_trials(cfg: ExperimentConfig, threads: int) -> list:
     points = cfg.r_grid or cfg.n_grid
     specs = list(enumerate(p for p in points for _ in range(cfg.trials)))
 
-    def run(spec):
+    def run(spec, pool=None):
         # keyed on the worker through the module global, so a wrapper of
         # `stream` (perfbench's trial marker) sees each thread's trial; the
         # closed-form sweep draws nothing, and its first Generator would
         # import numpy.random, 5.7 MB of resident memory, into its run
         trial, point = spec
         rng = None if cfg.experiment == "psistar-sweep" else stream(cfg.master_seed, trial)
-        return runner(cfg, trial, point, rng)
+        token = _TRIAL_POOL.set(pool)
+        try:
+            return runner(cfg, trial, point, rng)
+        finally:
+            _TRIAL_POOL.reset(token)
 
     if threads <= 1:
         return [run(s) for s in specs]
     # sorted is stable, so trials of one n keep their index order
-    largest_first = sorted(specs, key=lambda s: -s[1])
+    largest_first = iter(sorted(specs, key=lambda s: -s[1]))
+    done = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        done = dict(zip(largest_first, pool.map(run, largest_first)))
+        # at most `threads` trials are queued or running, and the next one
+        # is submitted when one ends: a helper task that a trial submits
+        # then queues ahead of every trial not yet started, and a trial
+        # that cancels a helper leaves it in the queue only until the next
+        # worker comes free
+        first = itertools.islice(largest_first, threads)
+        running = {pool.submit(run, s, pool): s for s in first}
+        while running:
+            finished, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in finished:
+                done[running.pop(future)] = future.result()
+                spec = next(largest_first, None)
+                if spec is not None:
+                    running[pool.submit(run, spec, pool)] = spec
     return [done[s] for s in specs]
 
 

@@ -43,8 +43,9 @@ def probe_top_eigenvalues(channel: Channel, observable, count: int) -> np.ndarra
         raise OutOfRangeError(
             f"count {count} exceeds adjoint dimension {channel.input_dim}"
         )
+    # the lift is this call's own array, so the solve may run in its bytes
     lifted = channel.adjoint(observable)
-    return hermitian_eigenvalues(lifted)[:count]
+    return hermitian_eigenvalues(lifted, overwrite=True)[:count]
 
 
 class Restart(NamedTuple):

@@ -25,6 +25,7 @@ from .errors import (
     NonHermitianError,
     NotUnitVectorError,
 )
+from .openblas import eigenvalues_two_stage
 
 HERMITIAN_TOL = 1e-10
 STATE_HERMITIAN_TOL = 1e-12
@@ -232,11 +233,27 @@ def _warm_top_eigenpair(h: np.ndarray, start: np.ndarray) -> EigenSystem | None:
     return EigenSystem(np.array([theta]), x[:, None])
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues only, descending."""
+# dimension from which `hermitian_eigenvalues` takes the two-stage solver:
+# its time over eigvalsh's, one BLAS thread, median of 7, was 0.99 at
+# n = 400, 0.87 at 500 and 0.73 at 800
+TWO_STAGE_MIN_DIM = 500
+
+
+def hermitian_eigenvalues(m, *, overwrite: bool = False) -> np.ndarray:
+    """Eigenvalues only, descending.
+
+    From dimension TWO_STAGE_MIN_DIM on they come from LAPACK's two-stage
+    solver (`openblas.eigenvalues_two_stage`), which agrees with
+    `eigvalsh` to rounding; below it, they are `eigvalsh`'s bytes.  A
+    caller that gives up m passes `overwrite`: the two-stage solve then
+    runs in m's bytes, with the same values, and makes no n x n copy.
+    """
     h = _hermitian_part(m)
     try:
-        vals = np.linalg.eigvalsh(h)
+        if h.shape[0] >= TWO_STAGE_MIN_DIM:
+            vals = eigenvalues_two_stage(h, overwrite)
+        else:
+            vals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NoConvergenceError(str(exc)) from exc
     return vals[::-1].copy()

@@ -1,9 +1,13 @@
 """Seeded random sampling: Haar unitaries and isometries, random channels,
 pure states, POVM families."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from channel_limits import ensembles
 from channel_limits import (
     MixedUnitaryChannel,
     StinespringChannel,
@@ -269,3 +273,70 @@ def test_unit_norm_povm_sampler():
         assert np.sum(vals > 1.0 - 1e-8) == d
     with pytest.raises(DimensionMismatchError):
         sample_unit_norm_povm([], 2, rng)
+
+
+# ------------------------------------------------------ helper QRs on a pool
+
+
+def _reference_isometry(k, n, w, rng):
+    # the sampler as it was written before helper QRs: C-ordered Ginibre
+    # values, numpy's qr and the phase fix, each draw scaled into its block
+    blocks = np.zeros((k, n, n), dtype=np.complex128)
+    blocks[0].flat[:: n + 1] = np.sqrt(w[0])
+    for block, s in zip(blocks[1:], np.sqrt(w[1:])):
+        re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+        d = np.diag(r)
+        q *= d / np.abs(d)
+        np.multiply(q, s, out=block)
+    return blocks.reshape(k * n, n)
+
+
+@pytest.mark.parametrize("n", [20, 130, 300])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sampler_gives_the_same_isometry_with_and_without_helpers(k, n):
+    w = np.arange(1.0, k + 1.0) / (k * (k + 1) / 2)
+    want = _reference_isometry(k, n, w, stream(41, n))
+    assert np.array_equal(sample_mixed_unitary_channel(k, n, w, stream(41, n)).isometry, want)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = sample_mixed_unitary_channel(k, n, w, stream(41, n), pool)
+    assert np.array_equal(pooled.isometry, want)
+
+
+def test_haar_unitary_built_in_a_block_is_the_returned_unitary():
+    u = haar_unitary(70, stream(42, 0))
+    block = np.empty((70, 70), dtype=np.complex128)
+    assert haar_unitary(70, stream(42, 0), out=block) is block
+    assert np.array_equal(block, u)
+    with pytest.raises(DimensionMismatchError):
+        haar_unitary(70, stream(42, 0), out=np.empty((70, 70), dtype=np.complex128).T)
+
+
+def test_helpers_run_inline_when_every_worker_is_busy(monkeypatch):
+    # the pool's one worker waits on a gate for the whole draw: each helper
+    # QR is then cancelled and run on the sampling thread, with no wait
+    ran_on = []
+    in_place = ensembles._haar_in_place
+
+    def recording(block, *scale):
+        ran_on.append(threading.get_ident())
+        in_place(block, *scale)
+
+    monkeypatch.setattr(ensembles, "_haar_in_place", recording)
+    w = np.full(4, 0.25)
+    gate = threading.Event()
+    result = []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(gate.wait, 60)
+        sampler = threading.Thread(
+            target=lambda: result.append(
+                sample_mixed_unitary_channel(4, 60, w, stream(43, 0), pool)
+            )
+        )
+        sampler.start()
+        sampler.join(timeout=60)
+        gate.set()
+    assert not sampler.is_alive()
+    assert ran_on == [sampler.ident] * 3
+    serial = sample_mixed_unitary_channel(4, 60, w, stream(43, 0))
+    assert np.array_equal(result[0].isometry, serial.isometry)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import Future
 from dataclasses import asdict
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from channel_limits.config import (
     parse_config_text,
     validate_config,
 )
-from channel_limits import config, experiments, openblas
+from channel_limits import config, ensembles, experiments, openblas
 from channel_limits.channels import DepolarizingChannel
 from channel_limits.ensembles import (
     sample_mixed_unitary_channel,
@@ -790,6 +791,40 @@ def test_reruns_are_byte_identical_across_thread_counts(tmp_path):
     assert first == pooled
 
 
+HELPER_TEXT = (
+    "experiment = cm-convergence\nk = 4\nweights = 0.1, 0.2, 0.3, 0.4\n"
+    "nGrid = 20, 60, 130\ntrials = 2\nm = 3\nmasterSeed = 13\n"
+)
+
+
+def test_helper_qrs_keep_the_csv_bytes_at_any_worker_count():
+    # k = 4: two helper QRs a trial; 8 workers is more than the 6 trials and
+    # the cores, and a short switch interval interleaves them more often
+    cfg = parse_config_text(HELPER_TEXT)
+    serial = render_csv(run_experiment(cfg, threads=1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (2, 3, 8):
+            assert render_csv(run_experiment(cfg, threads=threads)) == serial, threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failing_helper_qr_fails_its_trial(monkeypatch, threads):
+    in_place = ensembles._haar_in_place
+
+    def failing(block, *scale):
+        if scale:  # a helper's QR; the trial's own last one passes no scale
+            raise RuntimeError("helper QR failed")
+        in_place(block)
+
+    monkeypatch.setattr(ensembles, "_haar_in_place", failing)
+    with pytest.raises(RuntimeError, match="helper QR failed"):
+        run_experiment(parse_config_text(HELPER_TEXT), threads=threads)
+
+
 def test_output_cloud_is_byte_identical_across_worker_threads():
     # the size of one benchmark output-cloud trial, two trials per run
     text = (
@@ -915,7 +950,7 @@ def test_the_sweep_runs_without_importing_numpy_random():
 
 def test_pool_takes_the_largest_trials_first_and_emits_in_trial_order(monkeypatch):
     class InOrder:
-        """An executor that runs its map in submission order on the caller's thread."""
+        """An executor that runs each task as it is submitted, on the caller's thread."""
 
         def __init__(self, max_workers):
             pass
@@ -926,8 +961,10 @@ def test_pool_takes_the_largest_trials_first_and_emits_in_trial_order(monkeypatc
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     started = []
 
