@@ -266,13 +266,7 @@ class StinespringChannel(Channel):
         a = np.asarray(vector, dtype=np.complex128).reshape(-1)
         if gram is None:
             v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
-            lift = adjoint_square(_row_panels(a.conj(), v))  # None without zherk
-            if lift is not None:
-                return lift
-            b = np.tensordot(a.conj(), v, axes=(0, 0))
-            lift = adjoint_product(b, b)
-            del b  # B goes before hermitize allocates its output
-            return hermitize(lift)
+            return adjoint_square(_row_panels(a.conj(), v))
         # summed over `gram`, the blocks (i, j, G_ij = V_i* V_j) of
         # `rank_one_lift`, the lift is U + U* = hermitize(2U) for
         # U = sum_i (|a_i|^2 / 2) G_ii + sum_{i<j} a_i conj(a_j) G_ij,

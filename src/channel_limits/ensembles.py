@@ -72,34 +72,18 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator, order: str = "C") -
     return z
 
 
-def _haar_columns(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """QR of a rows x cols Ginibre matrix, with R's diagonal phases moved into Q.
-
-    The Ginibre values are drawn into a Fortran-ordered array, which
-    `orthonormal_columns` overwrites with Q; the result is the value of
-    `np.linalg.qr` and the phase fix, bit for bit.
-    """
-    q, d = orthonormal_columns(_ginibre(rows, cols, rng, order="F"))
-    q *= d / np.abs(d)
-    return q
-
-
 def _haar_in_place(block: np.ndarray, scale: float = 1.0) -> None:
     """Turn the Ginibre matrix z = block.T into its Haar unitary, in the block's bytes.
 
     block is C-ordered, so z is Fortran-ordered and its QR runs in place;
-    the phase fix and then `scale` multiply Q as `_haar_columns` and a
-    product with the scale would, and a transpose in place, a tile at a
-    time, leaves scale * Q in the block, C-ordered.
+    Q gets the phase fix and then `scale`, with the rounding of scaling
+    the finished unitary, and a transpose in place, a tile at a time,
+    leaves scale * Q in the block, C-ordered.
     """
-    z = block.T
-    q, d = orthonormal_columns(z)
+    q, d = orthonormal_columns(block.T)
     q *= d / np.abs(d)
     if scale != 1.0:  # a product with 1.0 changes no bit
         q *= scale
-    if q is not z:  # numpy's qr, where the kernels are not bound
-        block[...] = q
-        return
     tiles = [slice(i, i + _BAND) for i in range(0, block.shape[0], _BAND)]
     for t, rows in enumerate(tiles):
         block[rows, rows] = block[rows, rows].T.copy()
@@ -112,18 +96,18 @@ def _haar_in_place(block: np.ndarray, scale: float = 1.0) -> None:
 def haar_unitary(dim: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix.
 
-    Returned Fortran-ordered where numpy's OpenBLAS is bound, else
-    C-ordered.  With `out`, a C-contiguous complex128 (dim, dim) array, the
-    same values are built in its bytes, C-ordered, and `out` is returned:
-    no other dim x dim buffer is made.
+    The unitary is built C-ordered in `out`, a C-contiguous complex128
+    (dim, dim) array, or in one this allocates, and that array is
+    returned: the Ginibre values are drawn into its transpose, whose QR
+    runs in place, so no other dim x dim buffer is made.
     Mezzadri, "How to generate random matrices from the classical compact
     groups", Notices AMS 54 (2007).
     """
     if dim <= 0:
         raise DimensionMismatchError("dimension must be positive")
     if out is None:
-        return _haar_columns(dim, dim, rng)
-    if out.shape != (dim, dim) or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        out = np.empty((dim, dim), dtype=np.complex128)
+    elif out.shape != (dim, dim) or out.dtype != np.complex128 or not out.flags.c_contiguous:
         raise DimensionMismatchError(f"out must be a C-contiguous complex ({dim}, {dim}) array")
     _fill_ginibre(out.T, rng)
     _haar_in_place(out)
@@ -133,13 +117,17 @@ def haar_unitary(dim: int, rng: np.random.Generator, out: np.ndarray | None = No
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """First `cols` columns of a Haar unitary on C^rows, in distribution.
 
+    Q of a Fortran-ordered Ginibre matrix, with R's diagonal phases moved
+    into it: the value of `np.linalg.qr` and the phase fix, bit for bit.
     Returned C-contiguous, so that a channel's reshapes of it are views.
     """
     if cols > rows:
         raise DimensionMismatchError(f"isometry needs cols <= rows, got {cols} > {rows}")
     if cols <= 0 or rows <= 0:
         raise DimensionMismatchError("dimensions must be positive")
-    return np.ascontiguousarray(_haar_columns(rows, cols, rng))
+    q, d = orthonormal_columns(_ginibre(rows, cols, rng, order="F"))
+    q *= d / np.abs(d)
+    return np.ascontiguousarray(q)
 
 
 def sample_pure_state(
@@ -264,8 +252,7 @@ def sample_unit_norm_povm(
     if not dims or any(d <= 0 for d in dims) or slack_dim < 0:
         raise DimensionMismatchError("need at least one block, and positive block dimensions")
     n = sum(dims) + slack_dim
-    # C order, so each projector's product keeps the BLAS call it always had
-    u = np.ascontiguousarray(haar_unitary(n, rng))
+    u = haar_unitary(n, rng)
     povm = []
     start = 0
     for d in dims:

@@ -16,13 +16,11 @@ import json
 import logging
 import os
 from concurrent.futures import FIRST_COMPLETED, Executor, ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import openblas
 from .channels import Channel, DepolarizingChannel, EBChannel
 from .config import ExperimentConfig
 from .ensembles import (
@@ -44,6 +42,7 @@ from .geometry import (
     weyl_operator,
 )
 from .linalg import hermitian_eigs
+from .openblas import one_thread
 from .oracles import (
     flat_tail_entropy,
     mixed_unitary_norm_limit,
@@ -80,32 +79,6 @@ def usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body on one OpenBLAS thread, then restore the caller's count.
-
-    OpenBLAS's blocking, and with it the last bits of a product or a
-    factorization, depends on its thread count; pinning it makes the bytes
-    independent of OPENBLAS_NUM_THREADS and leaves the cores to the trial
-    pool.  The count is process-wide, so it is set before any worker
-    starts and restored after all have stopped.
-    """
-    if openblas._BLAS_THREADS is None:
-        _log.warning(
-            "BLAS thread count not set: numpy's BLAS exports no "
-            "scipy_openblas_set_num_threads64_, so the bytes may depend on its thread count"
-        )
-        yield
-        return
-    get, set_ = openblas._BLAS_THREADS
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 # the trial pool of the trial running in this context, to which its sampler
@@ -309,7 +282,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRe
     ascent also logs, at INFO, how many of their restarts stopped without
     converging and how many reached their trial's best value.
     """
-    with _one_blas_thread():
+    with one_thread():  # process-wide: pinned before the pool starts, restored after it stops
         results = _run_trials(cfg, threads)
     ascents = [ascent for _, ascent in results if ascent is not None]
     if ascents:

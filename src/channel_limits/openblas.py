@@ -2,9 +2,10 @@
 
 numpy offers no QR that works in place and no product that reads an
 operand through its conjugate transpose, so both copy whole matrices.
-The kernels below call the OpenBLAS numpy itself runs on, through ctypes:
+The kernels below call the OpenBLAS numpy itself runs on, through ctypes,
+whose thread count `one_thread` pins:
 
-* `orthonormal_columns` -- Q of a thin QR in place (zgeqrf, zungqr);
+* `orthonormal_columns` -- Q of a thin QR in z's own bytes (zgeqrf, zungqr);
 * `adjoint_product` -- a* b in one zgemm whose op on a is 'C';
 * `adjoint_square` -- b* b from b's row panels, one zherk each, mirrored
   in place;
@@ -18,12 +19,15 @@ zherk's triangle equals the zgemm product's at some sizes and not at
 others, within a few ulp, and the two-stage spectrum agrees with
 `eigvalsh`'s to rounding.  Where numpy's library does not export a
 symbol, or the operands are not laid out for the call, each kernel
-evaluates the numpy expression (`adjoint_square` leaves it to its caller).
+evaluates a numpy expression itself and keeps its contract, so no caller
+knows which path ran.
 """
 
 from __future__ import annotations
 
 import ctypes
+import logging
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -80,6 +84,36 @@ _TWO_STAGE = _bind(
     ("scipy_zheevd_2stage_64_", None, [_PTR] * 13 + [ctypes.c_size_t] * 2),
 )
 
+_log = logging.getLogger(__name__)
+
+
+@contextmanager
+def one_thread():
+    """Run the body on one OpenBLAS thread, then restore the caller's count.
+
+    OpenBLAS's blocking, and with it the last bits of a product or a
+    factorization, depends on its thread count; pinning it makes the bytes
+    independent of OPENBLAS_NUM_THREADS.  The count is process-wide, so a
+    caller with worker threads enters this before any worker starts and
+    leaves it after all have stopped.  Where numpy's BLAS exports no
+    setter, the body runs as it is, after one warning.
+    """
+    if _BLAS_THREADS is None:
+        _log.warning(
+            "BLAS thread count not set: numpy's BLAS exports no "
+            "scipy_openblas_set_num_threads64_, so the bytes may depend on its thread count"
+        )
+        yield
+        return
+    get, set_ = _BLAS_THREADS
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 _ROW_MAJOR, _NO_TRANS, _CONJ_TRANS, _LOWER = 101, 111, 113, 122
 _ONE = np.ones(1, dtype=np.complex128)
 _ZERO = np.zeros(1, dtype=np.complex128)
@@ -111,18 +145,22 @@ def _lwork(routine, name: str, cols: int, *args) -> np.ndarray:
 
 
 def orthonormal_columns(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q of the thin QR z = QR of a tall complex matrix, and the diagonal of R.
+    """Q of the thin QR z = QR of a tall complex matrix, left in z's bytes, and R's diagonal.
 
-    A Fortran-ordered complex128 `z` with at least as many rows as columns
-    is overwritten by Q and returned: zgeqrf, then zungqr, each with the
-    workspace numpy's `qr` asks for, give the values of
-    `np.linalg.qr(z)` bit for bit, without its four matrix-sized buffers.
-    Any other `z` goes through `np.linalg.qr` and Q comes back C-ordered.
+    z, with at least as many rows as columns, is overwritten by Q and
+    returned.  A Fortran-ordered complex128 z is factored in place:
+    zgeqrf, then zungqr, each with the workspace numpy's `qr` asks for,
+    give the values of `np.linalg.qr(z)` bit for bit, without its four
+    matrix-sized buffers.  Any other z, or any z where the symbols are
+    not bound, gets `np.linalg.qr`'s Q copied into it.
     """
     rows, cols = z.shape
-    if _KERNELS is None or z.dtype != np.complex128 or not z.flags.f_contiguous or rows < cols:
+    if rows < cols:
+        raise DimensionMismatchError(f"thin QR needs rows >= cols, got shape {z.shape}")
+    if _KERNELS is None or z.dtype != np.complex128 or not z.flags.f_contiguous:
         q, r = np.linalg.qr(z)
-        return q, np.diag(r)
+        z[...] = q
+        return z, np.diag(r)
     geqrf, ungqr, _ = _KERNELS
     tau = np.empty(cols, dtype=np.complex128)
     ld = max(1, rows)
@@ -164,7 +202,7 @@ def adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _TILE = 64
 
 
-def adjoint_square(panels) -> np.ndarray | None:
+def adjoint_square(panels) -> np.ndarray:
     """b* b, exactly Hermitian, as a C-ordered m x m array, for b given by its row panels.
 
     `panels` yields one or more (r_p, m) complex matrices, b's rows from
@@ -177,13 +215,10 @@ def adjoint_square(panels) -> np.ndarray | None:
     zherk sums in another order than zgemm: for one panel, b itself, the
     triangle was that of `hermitize(adjoint_product(b, b))` bit for bit
     at n = 400 and 800, and a few ulp off it at n = 30, 61 and 300; the
-    panel sums round a few ulp off it again.  Returns None, consuming no
-    panel, where zherk is not bound; the caller then takes that
-    expression.
+    panel sums round a few ulp off it again.  Where zherk is not bound,
+    each panel's `adjoint_product(p, p)` is added instead, and the sum is
+    mirrored and its diagonal made real the same way.
     """
-    if _HERK is None:
-        return None
-    (herk,) = _HERK
     out, beta = None, 0.0
     for p in panels:
         p = np.ascontiguousarray(p, dtype=np.complex128)
@@ -192,8 +227,13 @@ def adjoint_square(panels) -> np.ndarray | None:
             out = np.empty((m, m), dtype=np.complex128)
         elif m != len(out):
             raise DimensionMismatchError(f"panel width {m} != first panel's {len(out)}")
-        herk(_ROW_MAJOR, _LOWER, _CONJ_TRANS, m, r, 1.0, p.ctypes.data, max(1, m),
-             beta, out.ctypes.data, max(1, m))
+        if _HERK is not None:
+            _HERK[0](_ROW_MAJOR, _LOWER, _CONJ_TRANS, m, r, 1.0, p.ctypes.data, max(1, m),
+                     beta, out.ctypes.data, max(1, m))
+        elif beta:
+            out += adjoint_product(p, p)
+        else:
+            out[...] = adjoint_product(p, p)
         beta = 1.0
     tiles = [slice(i, i + _TILE) for i in range(0, m, _TILE)]
     for t, rows in enumerate(tiles):
@@ -202,6 +242,7 @@ def adjoint_square(panels) -> np.ndarray | None:
         diag[upper] = diag.T[upper].conj()
         for cols in tiles[t + 1 :]:
             np.conjugate(out[cols, rows].T, out=out[rows, cols])
+    np.fill_diagonal(out.imag, 0.0)  # zherk's diagonal is real; a sum of products' need not be
     return out
 
 
@@ -215,21 +256,19 @@ def eigenvalues_two_stage(h: np.ndarray, overwrite: bool = False) -> np.ndarray:
     and its values agree with `eigvalsh`'s to rounding.  Where the symbol
     is not bound, returns `np.linalg.eigvalsh(h)`.
 
-    With `overwrite`, a contiguous complex128 h is solved in its own bytes,
-    which the call destroys, and no n x n copy is made.  A C-ordered h is
-    then read as its transpose; for an exactly Hermitian h that is conj(h),
-    whose reduction is the conjugate of h's step for step, so the values
-    are the same bytes.
+    With `overwrite`, a C-contiguous complex128 h is solved in its own
+    bytes, which the call destroys, and no n x n copy is made.  It is read
+    as its transpose; for an exactly Hermitian h that is conj(h), whose
+    reduction is the conjugate of h's step for step, so the values are
+    the same bytes.
     """
-    if _TWO_STAGE is None:
-        return np.linalg.eigvalsh(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
+    if _TWO_STAGE is None:
+        return np.linalg.eigvalsh(h)
     (solve,) = _TWO_STAGE
     n = h.shape[0]
-    if overwrite and h.dtype == np.complex128 and h.flags.f_contiguous:
-        a = h
-    elif overwrite and h.dtype == np.complex128 and h.flags.c_contiguous:
+    if overwrite and h.dtype == np.complex128 and h.flags.c_contiguous:
         a = h.T
     else:
         a = np.array(h, dtype=np.complex128, order="F")

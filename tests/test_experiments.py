@@ -185,7 +185,7 @@ def test_explicit_rank_one_probe_lifts_its_matrix():
     assert record.target is not None
 
 
-def test_explicit_probe_is_resolved_once_and_shared_read_only():
+def test_explicit_probe_bytes_do_not_depend_on_threads_and_it_is_not_rank_one():
     text = (
         "experiment = weyl-invariance\nk = 2\nweights = 0.25, 0.75\n"
         "probe = explicit\nprobeMatrix = 0.7,0 ; 0.1,0.2 ; 0.1,-0.2 ; 0.3,0\n"
@@ -347,6 +347,28 @@ def test_fast_configs_reproduce_committed_results():
         _assert_csv_within_golden_tolerance(
             regenerate(stem), (committed / f"{stem}.csv").read_text()
         )
+
+
+# the committed configs that run in seconds, with their results
+FAST_RUNS = ("psistar_sweep", "eb_tensor", "weyl_invariance", "output_cloud")
+
+
+@pytest.mark.parametrize(
+    "config, result",
+    [
+        *((GOLDEN_DIR / stem, GOLDEN_DIR / stem) for stem in MONTE_CARLO_GOLDENS),
+        *((REPO / "configs" / stem, REPO / "results" / stem) for stem in FAST_RUNS),
+    ],
+    ids=[*(f"golden-{stem}" for stem in MONTE_CARLO_GOLDENS), *FAST_RUNS],
+)
+def test_runs_without_native_kernels_stay_within_golden_tolerance(monkeypatch, config, result):
+    # a numpy (>= 1.24, as the package allows) whose library exports none
+    # of the symbols: every kernel takes its numpy fallback
+    for kernels in ("_KERNELS", "_HERK", "_TWO_STAGE"):
+        monkeypatch.setattr(openblas, kernels, None)
+    _assert_csv_within_golden_tolerance(
+        render_csv(run_experiment(load_config(f"{config}.cfg"))), Path(f"{result}.csv").read_text()
+    )
 
 
 # ----------------------------------------------------------------------- cli

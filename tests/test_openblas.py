@@ -48,6 +48,27 @@ def test_qr_kernel_matches_numpy_qr_bit_for_bit(shape):
     assert np.array_equal(diag, np.diag(r))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_qr_fallback_leaves_numpys_q_in_z(monkeypatch, order):
+    z = _ginibre((40, 15), 1)
+    q, r = np.linalg.qr(z)
+    monkeypatch.setattr(openblas, "_KERNELS", None)
+    work = np.array(z, order=order)
+    q_numpy, diag = orthonormal_columns(work)
+    assert q_numpy is work
+    assert np.array_equal(work, q)
+    assert np.array_equal(diag, np.diag(r))
+
+
+def test_qr_of_a_wide_matrix_raises_on_both_paths(monkeypatch):
+    z = np.asfortranarray(_ginibre((3, 5), 1))
+    with pytest.raises(DimensionMismatchError):
+        orthonormal_columns(z)
+    monkeypatch.setattr(openblas, "_KERNELS", None)
+    with pytest.raises(DimensionMismatchError):
+        orthonormal_columns(z)
+
+
 @bound
 @pytest.mark.parametrize("shape", SHAPES)
 def test_conjugate_transpose_kernel_matches_numpy_bit_for_bit(shape):
@@ -131,14 +152,21 @@ def test_numpy_fallback_writes_the_same_bytes(monkeypatch, text):
     cfg = parse_config_text(text)
     kernels = experiments.emit_results(experiments.run_experiment(cfg))
     monkeypatch.setattr(openblas, "_KERNELS", None)
-    assert haar_unitary(3, stream(0)).flags.c_contiguous  # the numpy path runs
+    qr, calls = np.linalg.qr, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
     assert experiments.emit_results(experiments.run_experiment(cfg)) == kernels
+    assert calls  # the numpy path ran
 
 
 @bound
 def test_mixed_unitary_trial_peaks_within_five_and_a_half_n_squared():
-    # k = 3: the channel's three blocks, then B and the lift, or the lift
-    # and eigvalsh's copy; 7.1 n^2 before the kernels
+    # k = 3: the channel's three blocks, then the lift and one 128-row panel
+    # of B, or the lift and eigvalsh's copy; 7.1 n^2 before the kernels
     n = 300
     cfg = parse_config_text(
         "experiment = cm-convergence\nk = 3\nweights = 0.2, 0.3, 0.5\n"
@@ -178,6 +206,13 @@ def test_mixed_unitary_trial_from_the_crossover_peaks_within_four_and_a_half_n_s
 # ------------------------------------------- zherk lift and two-stage solve
 
 
+def _assert_whole_lift(square, want):
+    assert square.flags.c_contiguous
+    assert np.array_equal(square, square.conj().T)  # exactly Hermitian
+    assert not np.diagonal(square).imag.any()
+    assert np.abs(square - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+
+
 @herk_bound
 @pytest.mark.parametrize("shape", [(4, 4), (30, 30), (61, 61), (300, 300), (800, 240)])
 def test_herk_triangle_is_within_a_few_ulp_of_the_hermitized_product(shape):
@@ -185,10 +220,7 @@ def test_herk_triangle_is_within_a_few_ulp_of_the_hermitized_product(shape):
     want = hermitize(adjoint_product(b, b))
     # b whole, then b in row panels of 128 (the rank-one lift's), and of 7
     for panels in ([b], np.split(b, range(128, len(b), 128)), np.split(b, range(7, len(b), 7))):
-        square = adjoint_square(panels)
-        assert square.flags.c_contiguous
-        assert np.array_equal(square, square.conj().T)  # mirrored exactly
-        assert np.abs(square - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+        _assert_whole_lift(adjoint_square(panels), want)
 
 
 @herk_bound
@@ -214,19 +246,25 @@ def test_herk_refuses_panels_of_another_width():
         adjoint_square([_ginibre((3, 5), 14), _ginibre((3, 4), 15)])
 
 
-@two_stage_bound
-def test_two_stage_solve_refuses_a_matrix_that_is_not_square():
-    with pytest.raises(DimensionMismatchError):
-        eigenvalues_two_stage(np.zeros((5, 4), dtype=np.complex128))
+def test_two_stage_solve_refuses_a_matrix_that_is_not_square(monkeypatch):
+    # with the symbol bound, where it is, and then without it
+    for solve in (openblas._TWO_STAGE, None):
+        monkeypatch.setattr(openblas, "_TWO_STAGE", solve)
+        with pytest.raises(DimensionMismatchError):
+            eigenvalues_two_stage(np.zeros((5, 4), dtype=np.complex128))
 
 
-def test_lift_without_zherk_is_the_hermitized_product(monkeypatch):
-    ch = sample_mixed_unitary_channel(3, 30, [0.2, 0.3, 0.5], stream(12, 0))
-    a = np.array([0.6, 0.0, 0.8j])
-    b = np.tensordot(a.conj(), ch.isometry.reshape(3, 30, 30), axes=(0, 0))
+def test_lift_without_zherk_is_within_a_few_ulp_of_the_hermitized_product(monkeypatch):
     monkeypatch.setattr(openblas, "_HERK", None)
-    assert adjoint_square([b]) is None
-    assert np.array_equal(ch.adjoint_rank_one(a), hermitize(adjoint_product(b, b)))
+    a = np.array([0.6, 0.0, 0.8j])
+    for n in (30, 300):
+        ch = sample_mixed_unitary_channel(3, n, [0.2, 0.3, 0.5], stream(12, 0))
+        b = np.tensordot(a.conj(), ch.isometry.reshape(3, n, n), axes=(0, 0))
+        want = hermitize(adjoint_product(b, b))
+        _assert_whole_lift(ch.adjoint_rank_one(a), want)
+        # b whole, then b in row panels of 128 (the rank-one lift's), and of 7
+        for panels in ([b], np.split(b, range(128, n, 128)), np.split(b, range(7, n, 7))):
+            _assert_whole_lift(adjoint_square(panels), want)
 
 
 def _probe_lift(n):
@@ -259,7 +297,6 @@ def test_two_stage_solve_in_the_callers_bytes_gives_the_same_values(n):
     lift = _probe_lift(n)
     want = eigenvalues_two_stage(lift)
     assert np.array_equal(eigenvalues_two_stage(lift.copy(), overwrite=True), want)
-    assert np.array_equal(eigenvalues_two_stage(np.asfortranarray(lift), overwrite=True), want)
     assert np.array_equal(hermitian_eigenvalues(lift.copy(), overwrite=True), want[::-1])
 
 
