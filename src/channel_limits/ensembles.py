@@ -17,7 +17,7 @@ import numpy as np
 from .channels import MixedUnitaryChannel, StinespringChannel, validate_weights
 from .errors import DimensionMismatchError
 from .linalg import DensityMatrix, row_norms
-from .openblas import orthonormal_columns
+from .openblas import householder_product
 
 
 def stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:
@@ -45,63 +45,61 @@ def _complex_gaussian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-# rows of normals drawn at a time into a Ginibre matrix, and the side of
-# the tiles a transpose in place swaps
+# columns whose reflectors are drawn and computed at a time; the order of the
+# norms' sums, and so the last bits of every draw, depends on it
 _BAND = 64
 
 
-def _fill_ginibre(z: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill the complex matrix z, in place, with unit-variance complex Gaussians.
+def _reflectors(z: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Stewart's reflectors of a Haar isometry below the (m, c) z's diagonal; tau, sign(beta).
 
-    The real parts are drawn row by row, then the imaginary parts, each
-    scaled by 1/sqrt(2) as `_complex_gaussian` scales them: the stream and
-    the values of drawing both as whole matrices, bit for bit.  They are
-    drawn _BAND rows at a time, so no matrix-sized temporary is made,
-    whatever z's memory order.
+    Column j, in order, draws m - j real parts, then m - j imaginary
+    parts, as `_complex_gaussian` scales them: a Gaussian x in C^(m - j),
+    sent to beta e_1 by zlarfg's reflector I - tau v v*, with alpha = x[0],
+    beta = -copysign(|x|, Re alpha), tau = (beta - alpha) / beta and
+    v = (1, x[1:] / (alpha - beta)).  In the QR of a Ginibre matrix, what
+    the j-th reflector meets is again a fresh Gaussian vector, so these
+    have the joint law of zgeqrf's reflectors from half the normals
+    (Stewart, SIAM J. Numer. Anal. 17, 1980).  Bands of _BAND columns
+    bound the temporaries.
     """
+    m, c = z.shape
     scale = 1.0 / np.sqrt(2.0)
-    for part in (z.real, z.imag):
-        for i in range(0, part.shape[0], _BAND):
-            rows = part[i : i + _BAND]
-            np.multiply(rng.standard_normal(rows.shape), scale, out=rows)
+    tau, signs = np.empty(c, dtype=np.complex128), np.empty(c)
+    for j0 in range(0, c, _BAND):
+        j1 = min(j0 + _BAND, c)
+        g, start = rng.standard_normal(2 * sum(m - j for j in range(j0, j1))), 0
+        for j in range(j0, j1):
+            np.multiply(g[start : start + m - j], scale, out=z[j:, j].real)
+            np.multiply(g[start + m - j : start + 2 * (m - j)], scale, out=z[j:, j].imag)
+            start += 2 * (m - j)
+        band = z[j0:, j0:j1]
+        band[np.triu_indices(j1 - j0, 1)] = 0.0  # so that each column is its x
+        alpha = band.diagonal().copy()
+        beta = -np.copysign(np.linalg.norm(band, axis=0), alpha.real)
+        tau[j0:j1] = (beta - alpha) / beta
+        band *= 1.0 / (alpha - beta)  # zlarfg's product with the reciprocal
+        signs[j0:j1] = np.sign(beta)
+    return tau, signs
 
 
-def _ginibre(rows: int, cols: int, rng: np.random.Generator, order: str = "C") -> np.ndarray:
-    z = np.empty((rows, cols), dtype=np.complex128, order=order)
-    _fill_ginibre(z, rng)
-    return z
+def _haar_from_reflectors(z: np.ndarray, tau: np.ndarray, phases: np.ndarray) -> None:
+    """Form Q of z's reflectors in z's bytes, column j times phases[j].
 
-
-def _haar_in_place(block: np.ndarray, scale: float = 1.0) -> None:
-    """Turn the Ginibre matrix z = block.T into its Haar unitary, in the block's bytes.
-
-    block is C-ordered, so z is Fortran-ordered and its QR runs in place;
-    Q gets the phase fix and then `scale`, with the rounding of scaling
-    the finished unitary, and a transpose in place, a tile at a time,
-    leaves scale * Q in the block, C-ordered.
+    R's diagonal is beta, so phases sign(beta) make Q Haar (Mezzadri,
+    Notices AMS 54, 2007); a block's scale rides on them, exactly.
     """
-    q, d = orthonormal_columns(block.T)
-    q *= d / np.abs(d)
-    if scale != 1.0:  # a product with 1.0 changes no bit
-        q *= scale
-    tiles = [slice(i, i + _BAND) for i in range(0, block.shape[0], _BAND)]
-    for t, rows in enumerate(tiles):
-        block[rows, rows] = block[rows, rows].T.copy()
-        for cols in tiles[t + 1 :]:
-            upper = block[rows, cols].copy()
-            block[rows, cols] = block[cols, rows].T
-            block[cols, rows] = upper.T
+    householder_product(z, tau)
+    z *= phases
 
 
 def haar_unitary(dim: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix.
+    """Haar-distributed unitary from Stewart's reflectors, with the phase fix.
 
-    The unitary is built C-ordered in `out`, a C-contiguous complex128
-    (dim, dim) array, or in one this allocates, and that array is
-    returned: the Ginibre values are drawn into its transpose, whose QR
-    runs in place, so no other dim x dim buffer is made.
-    Mezzadri, "How to generate random matrices from the classical compact
-    groups", Notices AMS 54 (2007).
+    Built in `out`, a C-contiguous complex128 (dim, dim) array, or in one
+    this allocates, which is returned: Q is formed in its transpose, a
+    Fortran-ordered view, so it holds Q^T, Haar too, and no other
+    dim x dim buffer is made.
     """
     if dim <= 0:
         raise DimensionMismatchError("dimension must be positive")
@@ -109,25 +107,23 @@ def haar_unitary(dim: int, rng: np.random.Generator, out: np.ndarray | None = No
         out = np.empty((dim, dim), dtype=np.complex128)
     elif out.shape != (dim, dim) or out.dtype != np.complex128 or not out.flags.c_contiguous:
         raise DimensionMismatchError(f"out must be a C-contiguous complex ({dim}, {dim}) array")
-    _fill_ginibre(out.T, rng)
-    _haar_in_place(out)
+    _haar_from_reflectors(out.T, *_reflectors(out.T, rng))
     return out
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """First `cols` columns of a Haar unitary on C^rows, in distribution.
 
-    Q of a Fortran-ordered Ginibre matrix, with R's diagonal phases moved
-    into it: the value of `np.linalg.qr` and the phase fix, bit for bit.
-    Returned C-contiguous, so that a channel's reshapes of it are views.
+    Formed as `haar_unitary` forms Q, then returned C-contiguous, so that
+    a channel's reshapes of it are views.
     """
     if cols > rows:
         raise DimensionMismatchError(f"isometry needs cols <= rows, got {cols} > {rows}")
     if cols <= 0 or rows <= 0:
         raise DimensionMismatchError("dimensions must be positive")
-    q, d = orthonormal_columns(_ginibre(rows, cols, rng, order="F"))
-    q *= d / np.abs(d)
-    return np.ascontiguousarray(q)
+    z = np.empty((rows, cols), dtype=np.complex128, order="F")
+    _haar_from_reflectors(z, *_reflectors(z, rng))
+    return np.ascontiguousarray(z)
 
 
 def sample_pure_state(
@@ -149,7 +145,7 @@ def sample_pure_state(
 
 def sample_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Random full-rank state G G* / Tr[G G*] from a square Ginibre G."""
-    g = _ginibre(dim, dim, rng)
+    g = _complex_gaussian(rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim)))
     m = g @ g.conj().T
     return DensityMatrix.normalized(m / np.trace(m).real)
 
@@ -174,13 +170,14 @@ def sample_mixed_unitary_channel(
     sqrt(w_1) I, and each draw is built and scaled in its own block, with
     the rounding of stacking the unitaries and then scaling them.
 
-    Every Ginibre matrix is drawn here, in stream order.  With a `pool`, a
-    concurrent.futures executor, the QR of each unitary but the last is
+    Every unitary's reflectors are computed here, in stream order.  With a
+    `pool`, a concurrent.futures executor, forming each unitary but the
+    last from its reflectors (zungqr, the phase fix and the scale) is
     submitted to it as a helper task; the last one runs here, then each
     helper is joined.  A helper that no worker has started yet is
     cancelled and run here, so the sampler never waits on queued work, and
-    a busy pool costs nothing.  The QRs depend only on their blocks, so
-    the isometry is the same bytes with or without a pool.
+    a busy pool costs nothing.  The helpers depend only on their blocks,
+    so the isometry is the same bytes with or without a pool.
     """
     scale = np.sqrt(validate_weights(weights))
     blocks = np.zeros((k, n, n), dtype=np.complex128)
@@ -188,8 +185,8 @@ def sample_mixed_unitary_channel(
     # refuses it
     helpers = []
     for block, s in zip(blocks[1:-1], scale[1:-1]):
-        _fill_ginibre(block.T, rng)
-        task = functools.partial(_haar_in_place, block, s)
+        tau, signs = _reflectors(block.T, rng)
+        task = functools.partial(_haar_from_reflectors, block.T, tau, signs * s)
         if pool is None:
             task()
         else:

@@ -1,11 +1,12 @@
 """numpy's bundled OpenBLAS, bound once, and the kernels that run on it.
 
-numpy offers no QR that works in place and no product that reads an
-operand through its conjugate transpose, so both copy whole matrices.
-The kernels below call the OpenBLAS numpy itself runs on, through ctypes,
-whose thread count `one_thread` pins:
+numpy offers no product of Householder reflectors and no product that
+reads an operand through its conjugate transpose, so a Haar draw would
+pay for a whole QR and a Gram block would copy its operand.  The kernels
+below call the OpenBLAS numpy itself runs on, through ctypes, whose
+thread count `one_thread` pins:
 
-* `orthonormal_columns` -- Q of a thin QR in z's own bytes (zgeqrf, zungqr);
+* `householder_product` -- Q of given reflectors in z's own bytes (zungqr);
 * `adjoint_product` -- a* b in one zgemm whose op on a is 'C';
 * `adjoint_square` -- b* b from b's row panels, one zherk each, mirrored
   in place;
@@ -13,14 +14,16 @@ whose thread count `one_thread` pins:
   copy or in the caller's bytes.
 
 The first two run LAPACK or BLAS with the arguments numpy's own call
-would pass, so their results are the values of the numpy expressions they
-replace, bit for bit.  The last two run other algorithms than numpy's:
-zherk's triangle equals the zgemm product's at some sizes and not at
-others, within a few ulp, and the two-stage spectrum agrees with
+would pass: zungqr on the reflectors of `np.linalg.qr(z, mode="raw")`
+gives `np.linalg.qr(z)`'s Q bit for bit, and the product is the value of
+`a.conj().T @ b`, bit for bit.  The last two run other algorithms than
+numpy's: zherk's triangle equals the zgemm product's at some sizes and
+not at others, within a few ulp, and the two-stage spectrum agrees with
 `eigvalsh`'s to rounding.  Where numpy's library does not export a
 symbol, or the operands are not laid out for the call, each kernel
 evaluates a numpy expression itself and keeps its contract, so no caller
-knows which path ran.
+knows which path ran; only zgemm's expression gives the same bytes, and
+the others agree with their kernel to rounding.
 """
 
 from __future__ import annotations
@@ -66,16 +69,14 @@ _BLAS_THREADS = _bind(
     ("scipy_openblas_set_num_threads64_", None, [ctypes.c_int]),
 )
 
-# zgeqrf, zungqr (every argument by reference) and cblas_zgemm
-_KERNELS = _bind(
-    ("scipy_zgeqrf_64_", None, [_PTR] * 8),
-    ("scipy_zungqr_64_", None, [_PTR] * 9),
+# zungqr (every argument by reference), cblas_zgemm, cblas_zherk and
+# zheevd_2stage (characters by address, then their lengths), each bound on
+# its own, so that each kernel takes its own fallback
+_UNGQR = _bind(("scipy_zungqr_64_", None, [_PTR] * 9))
+_GEMM = _bind(
     ("scipy_cblas_zgemm64_", None, [ctypes.c_int] * 3 + [_I64] * 3
      + [_PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64]),
 )
-
-# bound apart from _KERNELS, whose fallback gives numpy's bytes: cblas_zherk
-# and zheevd_2stage, whose characters go by address, then their lengths
 _HERK = _bind(
     ("scipy_cblas_zherk64_", None, [ctypes.c_int] * 3 + [_I64] * 2
      + [ctypes.c_double, _PTR, _I64, ctypes.c_double, _PTR, _I64]),
@@ -137,39 +138,38 @@ def _lapack(routine, name: str, *args) -> None:
         raise NoConvergenceError(f"{name} returned info = {info.value}")
 
 
-def _lwork(routine, name: str, cols: int, *args) -> np.ndarray:
-    """Workspace of the size numpy allocates: the optimum the query reports, at least `cols`."""
-    query = np.empty(1, dtype=np.complex128)
-    _lapack(routine, name, *args, query, -1)
-    return np.empty(max(1, cols, int(query[0].real)), dtype=np.complex128)
+def householder_product(z: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Q = H_0 ... H_(c-1) [I; 0] of the reflectors below z's diagonal, in z's own bytes.
 
-
-def orthonormal_columns(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q of the thin QR z = QR of a tall complex matrix, left in z's bytes, and R's diagonal.
-
-    z, with at least as many rows as columns, is overwritten by Q and
-    returned.  A Fortran-ordered complex128 z is factored in place:
-    zgeqrf, then zungqr, each with the workspace numpy's `qr` asks for,
-    give the values of `np.linalg.qr(z)` bit for bit, without its four
-    matrix-sized buffers.  Any other z, or any z where the symbols are
-    not bound, gets `np.linalg.qr`'s Q copied into it.
+    z (rows >= c columns) holds below its diagonal the tails of v_j =
+    (1, ...), with H_j = I - tau[j] v_j v_j* on rows j onward, as zgeqrf
+    leaves them; z is overwritten by Q and returned.  A Fortran-ordered
+    complex128 z is formed in place by zungqr, with the workspace numpy's
+    `qr` asks for; any other z, or any z where zungqr is not bound, gets
+    the reflectors applied one by one in numpy, as LAPACK's unblocked
+    zung2r applies them, which agrees with the blocked zungqr to rounding.
     """
     rows, cols = z.shape
-    if rows < cols:
-        raise DimensionMismatchError(f"thin QR needs rows >= cols, got shape {z.shape}")
-    if _KERNELS is None or z.dtype != np.complex128 or not z.flags.f_contiguous:
-        q, r = np.linalg.qr(z)
-        z[...] = q
-        return z, np.diag(r)
-    geqrf, ungqr, _ = _KERNELS
-    tau = np.empty(cols, dtype=np.complex128)
-    ld = max(1, rows)
-    work = _lwork(geqrf, "zgeqrf", cols, rows, cols, z, ld, tau)
-    _lapack(geqrf, "zgeqrf", rows, cols, z, ld, tau, work, work.size)
-    diag = z.diagonal().copy()
-    work = _lwork(ungqr, "zungqr", cols, rows, cols, cols, z, ld, tau)
-    _lapack(ungqr, "zungqr", rows, cols, cols, z, ld, tau, work, work.size)
-    return z, diag
+    if rows < cols or tau.shape != (cols,):
+        raise DimensionMismatchError(
+            f"need rows >= cols and one tau per column, got z {z.shape} and tau {tau.shape}"
+        )
+    if _UNGQR is None or z.dtype != np.complex128 or not z.flags.f_contiguous:
+        for j in reversed(range(cols)):
+            v = z[j:, j].copy()
+            v[0] = 1.0
+            z[j:, j + 1 :] -= np.multiply.outer(tau[j] * v, v.conj() @ z[j:, j + 1 :])
+            z[j + 1 :, j] = -tau[j] * v[1:]
+            z[j, j] = 1.0 - tau[j]
+            z[:j, j] = 0.0
+        return z
+    args = (rows, cols, cols, z, max(1, rows), np.ascontiguousarray(tau, dtype=np.complex128))
+    # numpy's workspace: the optimum a query reports, and at least cols
+    query = np.empty(1, dtype=np.complex128)
+    _lapack(_UNGQR[0], "zungqr", *args, query, -1)
+    work = np.empty(max(1, cols, int(query[0].real)), dtype=np.complex128)
+    _lapack(_UNGQR[0], "zungqr", *args, work, work.size)
+    return z
 
 
 def adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,7 +183,7 @@ def adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     (r, m), n = a.shape, b.shape[1]
     if (
-        _KERNELS is None
+        _GEMM is None
         or a.dtype != np.complex128
         or b.dtype != np.complex128
         or not (a.flags.c_contiguous and b.flags.c_contiguous)
@@ -191,7 +191,7 @@ def adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         or min(r, m, n) < 2
     ):
         return a.conj().T @ b
-    gemm = _KERNELS[2]
+    (gemm,) = _GEMM
     out = np.empty((m, n), dtype=np.complex128)
     gemm(_ROW_MAJOR, _CONJ_TRANS, _NO_TRANS, m, n, r, _ONE.ctypes.data,
          a.ctypes.data, m, b.ctypes.data, n, _ZERO.ctypes.data, out.ctypes.data, n)

@@ -24,6 +24,7 @@ from channel_limits import (
     validate_povm,
 )
 from channel_limits.errors import DimensionMismatchError
+from channel_limits.geometry import probe_top_eigenvalues
 
 
 # ------------------------------------------------------------------- streams
@@ -109,6 +110,62 @@ def test_isometry_span_is_rotation_invariant():
         vals.std(ddof=1) / np.sqrt(samples), vals_rot.std(ddof=1) / np.sqrt(samples)
     )
     assert abs(vals.mean() - vals_rot.mean()) <= 5.0 * se
+
+
+def _mean_and_se(samples):
+    samples = np.asarray(samples)
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+
+
+def test_cue_trace_moments():
+    # E|Tr U^j|^2 = min(j, n) under Haar measure (Diaconis and Shahshahani);
+    # 4000 unitaries at n = 20, moments j = 1..4
+    rng = stream(44, 0)
+    powers = np.arange(1, 5)
+    samples = []
+    for _ in range(4000):
+        eig = np.linalg.eigvals(haar_unitary(20, rng))
+        samples.append(np.abs((eig[:, None] ** powers).sum(axis=0)) ** 2)
+    mean, se = _mean_and_se(samples)
+    assert np.all(np.abs(mean - powers) <= 4.0 * se), mean
+
+
+@pytest.mark.parametrize("rows, cols", [(20, 20), (20, 7)])
+def test_haar_entries_have_mean_square_one_over_rows(rows, cols):
+    # E|U_ij|^2 = 1/rows for every entry; the first and last corners meet
+    # the first reflector alone and every reflector
+    rng = stream(45, cols)
+    samples = []
+    for _ in range(4000):
+        u = haar_unitary(rows, rng) if rows == cols else haar_isometry(rows, cols, rng)
+        samples.append(rows * np.abs([u[0, 0], u[-1, -1]]) ** 2)
+    mean, se = _mean_and_se(samples)
+    assert np.all(np.abs(mean - 1.0) <= 4.0 * se), mean
+
+
+def _ginibre_qr_unitary(n, rng):
+    # the sampler before Stewart's reflectors: numpy's QR of a Ginibre
+    # matrix, and R's diagonal phases moved into Q
+    re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def test_flat_probe_top_eigenvalue_keeps_the_ginibre_qr_law():
+    # two samples of the k = 3 flat-probe top eigenvalue at n = 40, from
+    # the sampler and from the Ginibre QR, on independent streams
+    k, n, count = 3, 40, 300
+    w, a = np.full(k, 1.0 / k), np.ones(k) / np.sqrt(k)
+    stewart, ginibre = stream(46, 0), stream(46, 1)
+    top = lambda ch: probe_top_eigenvalues(ch, a, 1)[0]
+    drawn = [top(sample_mixed_unitary_channel(k, n, w, stewart)) for _ in range(count)]
+    reference = [
+        top(MixedUnitaryChannel(w, [np.eye(n), *(_ginibre_qr_unitary(n, ginibre) for _ in w[1:])]))
+        for _ in range(count)
+    ]
+    (m1, se1), (m2, se2) = _mean_and_se(drawn), _mean_and_se(reference)
+    assert abs(m1 - m2) <= 4.0 * np.hypot(se1, se2), (m1, m2)
 
 
 # -------------------------------------------------------------------- states
@@ -278,29 +335,23 @@ def test_unit_norm_povm_sampler():
 # ------------------------------------------------------ helper QRs on a pool
 
 
-def _reference_isometry(k, n, w, rng):
-    # the sampler as it was written before helper QRs: C-ordered Ginibre
-    # values, numpy's qr and the phase fix, each draw scaled into its block
-    blocks = np.zeros((k, n, n), dtype=np.complex128)
-    blocks[0].flat[:: n + 1] = np.sqrt(w[0])
-    for block, s in zip(blocks[1:], np.sqrt(w[1:])):
-        re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
-        d = np.diag(r)
-        q *= d / np.abs(d)
-        np.multiply(q, s, out=block)
-    return blocks.reshape(k * n, n)
+FEW_ULP = 4 * np.finfo(float).eps  # a unitary's entries are at most 1 in modulus
 
 
 @pytest.mark.parametrize("n", [20, 130, 300])
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_sampler_gives_the_same_isometry_with_and_without_helpers(k, n):
+def test_sampler_gives_the_same_isometry_with_and_without_helpers(stewart_reference, k, n):
     w = np.arange(1.0, k + 1.0) / (k * (k + 1) / 2)
-    want = _reference_isometry(k, n, w, stream(41, n))
-    assert np.array_equal(sample_mixed_unitary_channel(k, n, w, stream(41, n)).isometry, want)
+    serial = sample_mixed_unitary_channel(k, n, w, stream(41, n)).isometry
     with ThreadPoolExecutor(max_workers=2) as pool:
         pooled = sample_mixed_unitary_channel(k, n, w, stream(41, n), pool)
-    assert np.array_equal(pooled.isometry, want)
+    assert np.array_equal(pooled.isometry, serial)
+    # block i is sqrt(w_i) U_i, with U_1 = I and U_i the transpose of the
+    # stream spec's Q, drawn in order
+    rng = stream(41, n)
+    want = [np.sqrt(w[0]) * np.eye(n)]
+    want += [s * stewart_reference(n, n, rng).T for s in np.sqrt(w[1:])]
+    assert np.abs(serial - np.concatenate(want)).max() <= FEW_ULP
 
 
 def test_haar_unitary_built_in_a_block_is_the_returned_unitary():
@@ -314,15 +365,16 @@ def test_haar_unitary_built_in_a_block_is_the_returned_unitary():
 
 def test_helpers_run_inline_when_every_worker_is_busy(monkeypatch):
     # the pool's one worker waits on a gate for the whole draw: each helper
-    # QR is then cancelled and run on the sampling thread, with no wait
+    # is then cancelled and forms its unitary on the sampling thread, with
+    # no wait
     ran_on = []
-    in_place = ensembles._haar_in_place
+    form = ensembles._haar_from_reflectors
 
-    def recording(block, *scale):
+    def recording(*args):
         ran_on.append(threading.get_ident())
-        in_place(block, *scale)
+        form(*args)
 
-    monkeypatch.setattr(ensembles, "_haar_in_place", recording)
+    monkeypatch.setattr(ensembles, "_haar_from_reflectors", recording)
     w = np.full(4, 0.25)
     gate = threading.Event()
     result = []

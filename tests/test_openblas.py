@@ -1,6 +1,7 @@
 """Kernels on numpy's bundled OpenBLAS: the same bytes as the numpy
-expressions they replace (or, for zherk and the two-stage solve, the same
-values to rounding), and a trial working set that stays small."""
+expressions they replace (or, for zherk, the two-stage solve and the
+numpy fallback of zungqr, the same values to rounding), and a trial
+working set that stays small."""
 
 import tracemalloc
 
@@ -10,6 +11,7 @@ import pytest
 from channel_limits import channels, experiments, openblas
 from channel_limits.config import parse_config_text
 from channel_limits.ensembles import (
+    _reflectors,
     haar_isometry,
     haar_unitary,
     sample_mixed_unitary_channel,
@@ -21,14 +23,19 @@ from channel_limits.openblas import (
     adjoint_product,
     adjoint_square,
     eigenvalues_two_stage,
-    orthonormal_columns,
+    householder_product,
 )
 
-bound = pytest.mark.skipif(openblas._KERNELS is None, reason="numpy's OpenBLAS is not bound")
+bound = pytest.mark.skipif(openblas._GEMM is None, reason="no cblas_zgemm bound")
+ungqr_bound = pytest.mark.skipif(openblas._UNGQR is None, reason="no zungqr bound")
 herk_bound = pytest.mark.skipif(openblas._HERK is None, reason="no cblas_zherk bound")
 two_stage_bound = pytest.mark.skipif(openblas._TWO_STAGE is None, reason="no zheevd_2stage bound")
 
 SHAPES = [(4, 4), (37, 37), (200, 200), (800, 240), (800, 800)]
+
+# Q's columns are unit vectors, so its entries are at most 1 in modulus,
+# and a few ulp of 1 bounds two roundings of the same product
+FEW_ULP = 4 * np.finfo(float).eps
 
 
 def _ginibre(shape, seed):
@@ -36,37 +43,55 @@ def _ginibre(shape, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@bound
+def _raw_qr(shape, seed, order="F"):
+    # zgeqrf's reflectors and tau of a Ginibre matrix, and numpy's Q of it
+    z = _ginibre(shape, seed)
+    h, tau = np.linalg.qr(z, mode="raw")  # h holds the reflectors transposed
+    return np.array(h.T, order=order), tau, np.linalg.qr(z)[0]
+
+
+@ungqr_bound
 @pytest.mark.parametrize("shape", SHAPES)
 def test_qr_kernel_matches_numpy_qr_bit_for_bit(shape):
-    z = _ginibre(shape, 1)
-    q, r = np.linalg.qr(z)
-    work = np.asfortranarray(z)
-    q_kernel, diag = orthonormal_columns(work)
-    assert q_kernel is work  # overwritten in place
-    assert np.array_equal(q_kernel, q)
-    assert np.array_equal(diag, np.diag(r))
+    # zungqr on numpy's own reflectors, with numpy's workspace, is its Q
+    work, tau, q = _raw_qr(shape, 1)
+    assert householder_product(work, tau) is work  # overwritten in place
+    assert np.array_equal(work, q)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_qr_fallback_leaves_numpys_q_in_z(monkeypatch, order):
-    z = _ginibre((40, 15), 1)
-    q, r = np.linalg.qr(z)
-    monkeypatch.setattr(openblas, "_KERNELS", None)
-    work = np.array(z, order=order)
-    q_numpy, diag = orthonormal_columns(work)
-    assert q_numpy is work
-    assert np.array_equal(work, q)
-    assert np.array_equal(diag, np.diag(r))
+    monkeypatch.setattr(openblas, "_UNGQR", None)
+    work, tau, q = _raw_qr((40, 15), 1, order)
+    assert householder_product(work, tau) is work
+    assert np.abs(work - q).max() <= FEW_ULP
 
 
 def test_qr_of_a_wide_matrix_raises_on_both_paths(monkeypatch):
     z = np.asfortranarray(_ginibre((3, 5), 1))
+    tau = np.zeros(5, dtype=np.complex128)
     with pytest.raises(DimensionMismatchError):
-        orthonormal_columns(z)
-    monkeypatch.setattr(openblas, "_KERNELS", None)
+        householder_product(z, tau)
     with pytest.raises(DimensionMismatchError):
-        orthonormal_columns(z)
+        householder_product(z.T, tau[:4])  # tall, with a tau per column but one
+    monkeypatch.setattr(openblas, "_UNGQR", None)
+    with pytest.raises(DimensionMismatchError):
+        householder_product(z, tau)
+
+
+@ungqr_bound
+@pytest.mark.parametrize("rows, cols", [(61, 61), (300, 300), (800, 240)])
+def test_zungqr_and_its_numpy_fallback_agree_to_a_few_ulp(monkeypatch, rows, cols):
+    # the sampler's own reflectors, formed by the blocked zungqr and by
+    # the numpy loop of zung2r's rank-one updates
+    z = np.empty((rows, cols), dtype=np.complex128, order="F")
+    tau, _ = _reflectors(z, stream(32, rows))
+    kernel = householder_product(z.copy(order="F"), tau)
+    monkeypatch.setattr(openblas, "_UNGQR", None)
+    fallback = householder_product(z, tau)
+    assert fallback is z
+    assert np.abs(kernel - fallback).max() <= FEW_ULP
+    assert np.abs(kernel.conj().T @ kernel - np.eye(cols)).max() <= 1e-13
 
 
 @bound
@@ -99,28 +124,23 @@ def test_operands_of_different_heights_are_refused_as_numpy_refuses_them():
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (6, 6), (50, 50), (40, 15)])
-def test_haar_samplers_give_the_numpy_reference_values(rows, cols):
-    # the draw as it was written before the kernels: C-ordered Ginibre
-    # values, numpy's qr and the phase fix
-    rng = stream(31, rows)
-    re, im = rng.standard_normal((rows, cols)), rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
-    d = np.diag(r)
-    q *= d / np.abs(d)
+def test_haar_samplers_give_the_numpy_reference_values(stewart_reference, rows, cols):
+    # the stream spec written out in numpy; a square unitary is built as Q^T
+    q = stewart_reference(rows, cols, stream(31, rows))
     if rows == cols:
-        assert np.array_equal(haar_unitary(rows, stream(31, rows)), q)
+        assert np.abs(haar_unitary(rows, stream(31, rows)).T - q).max() <= FEW_ULP
     v = haar_isometry(rows, cols, stream(31, rows))
     assert v.flags.c_contiguous
-    assert np.array_equal(v, q)
+    assert np.abs(v - q).max() <= FEW_ULP
 
 
-@bound
+@ungqr_bound
 def test_lapack_failure_raises():
-    geqrf = openblas._KERNELS[0]
-    z = np.asfortranarray(_ginibre((4, 4), 7))
-    tau, work = np.empty(4, dtype=np.complex128), np.empty(64, dtype=np.complex128)
-    with pytest.raises(NoConvergenceError, match="info = -4"):
-        openblas._lapack(geqrf, "zgeqrf", 4, 4, z, 1, tau, work, work.size)  # lda < rows
+    (ungqr,) = openblas._UNGQR
+    work, tau, _ = _raw_qr((4, 4), 7)
+    lwork = np.empty(64, dtype=np.complex128)
+    with pytest.raises(NoConvergenceError, match="info = -5"):
+        openblas._lapack(ungqr, "zungqr", 4, 4, 4, work, 1, tau, lwork, lwork.size)  # lda < rows
 
 
 FALLBACK_CONFIGS = [
@@ -128,6 +148,8 @@ FALLBACK_CONFIGS = [
 experiment = cm-convergence
 k = 3
 weights = 0.2, 0.3, 0.5
+probe = explicit
+probeMatrix = 0.5,0 ; 0.1,0.1 ; 0,0 ; 0.1,-0.1 ; 0.3,0 ; 0.05,0 ; 0,0 ; 0.05,0 ; 0.2,0
 nGrid = 30, 61
 trials = 2
 m = 4
@@ -151,19 +173,21 @@ masterSeed = 12
 def test_numpy_fallback_writes_the_same_bytes(monkeypatch, text):
     cfg = parse_config_text(text)
     kernels = experiments.emit_results(experiments.run_experiment(cfg))
-    monkeypatch.setattr(openblas, "_KERNELS", None)
-    qr, calls = np.linalg.qr, []
+    monkeypatch.setattr(openblas, "_GEMM", None)
+    product, calls = openblas.adjoint_product, []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return qr(*args, **kwargs)
+    def counting(a, b):
+        calls.append(a.shape)
+        return product(a, b)
 
-    monkeypatch.setattr(np.linalg, "qr", counting)
+    # with _GEMM None, adjoint_product has only its numpy expression to run
+    monkeypatch.setattr(channels, "adjoint_product", counting)
     assert experiments.emit_results(experiments.run_experiment(cfg)) == kernels
     assert calls  # the numpy path ran
 
 
 @bound
+@ungqr_bound
 def test_mixed_unitary_trial_peaks_within_five_and_a_half_n_squared():
     # k = 3: the channel's three blocks, then the lift and one 128-row panel
     # of B, or the lift and eigvalsh's copy; 7.1 n^2 before the kernels
@@ -183,6 +207,7 @@ def test_mixed_unitary_trial_peaks_within_five_and_a_half_n_squared():
 
 
 @bound
+@ungqr_bound
 @herk_bound
 @two_stage_bound
 def test_mixed_unitary_trial_from_the_crossover_peaks_within_four_and_a_half_n_squared():
