@@ -14,10 +14,10 @@ the most structured description it was built from:
 * ``DepolarizingChannel`` -- X -> Tr[X] I/k.
 
 Both directions of a Stinespring channel contract over the isometry's k
-output blocks, so neither forms a (kn x kn) operator: a lift contracts
-an observable A across them instead of forming A (x) I, and the forward
-map takes Tr_env[V X V*] as one k x k product of the (k, env N) views of
-VX and V, holding only the (kn x N) product VX beyond its operands.
+output blocks V_i, never forming a (kn x kn) operator: Phi*(A) = sum_r l_r
+B_r* B_r for A = sum_r l_r u_r u_r* and B_r = sum_i conj(u_ri) V_i, by zherk
+over B_r's row panels, and Phi(X) = Tr_env[V X V*] is one k x k product of
+the (k, env N) views of VX and V, holding only VX beyond its operands.
 """
 
 from __future__ import annotations
@@ -106,25 +106,26 @@ def _operand(obj, dim: int, what: str, side: str) -> np.ndarray:
     return a
 
 
-# rows of B = sum_i c_i V_i formed at a time for the rank-one lift
+# rows of a B_r = sum_i c_i V_i formed at a time for a lift
 _PANEL_ROWS = 128
 
 
-def _row_panels(c: np.ndarray, v: np.ndarray):
-    """The rows of B = sum_i c_i v[i], for a C-ordered (k, r, m) stack v, _PANEL_ROWS at a time.
+def _row_panels(weights, c: np.ndarray, v: np.ndarray):
+    """(w_t, rows of B_t = sum_i c[t, i] v[i]) for each t, _PANEL_ROWS rows at a time.
 
-    Each panel is one product of c with the matching rows of every v[i],
-    a strided view that `np.matmul` reads in place (`np.dot` would copy
-    it), into one buffer the generator reuses: a panel is read before the
-    next one is asked for, and no r x m B is made.  The panels are the
-    rows of `np.tensordot(c, v, axes=(0, 0))`, bit for bit.
+    v is a C-ordered (k, r, m) stack.  Each panel is one product of c[t]
+    with the matching rows of every v[i], a strided view that `np.matmul`
+    reads in place (`np.dot` would copy it), into one buffer reused for
+    every panel, which is read before the next is asked for, so no B_t is
+    whole; one t's panels are `np.tensordot(c[t], v, axes=(0, 0))`'s rows.
     """
     k, r, m = v.shape
     buf = np.empty((min(r, _PANEL_ROWS), m), dtype=np.complex128)
-    for i in range(0, r, _PANEL_ROWS):
-        panel = buf[: min(_PANEL_ROWS, r - i)]
-        np.matmul(c, v[:, i : i + len(panel)].reshape(k, -1), out=panel.reshape(-1))
-        yield panel
+    for w, ct in zip(weights, c):
+        for i in range(0, r, _PANEL_ROWS):
+            panel = buf[: min(_PANEL_ROWS, r - i)]
+            np.matmul(ct, v[:, i : i + len(panel)].reshape(k, -1), out=panel.reshape(-1))
+            yield w, panel
 
 
 class Channel:
@@ -160,15 +161,20 @@ class Channel:
         return out if x.ndim == 2 else DensityMatrix(out, _validated=True)
 
     def adjoint(self, observable) -> np.ndarray:
-        """Adjoint action on an output-side observable, hermitized.
+        """Adjoint action on an output-side observable, exactly Hermitian.
 
         A vector a stands for the rank-one observable aa* and goes through
-        `adjoint_rank_one`; anything else is the observable's square matrix.
+        `adjoint_rank_one`; a matrix Y is hermitized first, as Phi*(Y)'s
+        Hermitian part is Phi* of Y's, and goes to `adjoint_hermitian`.
         """
         y = _operand(observable, self.output_dim, "observable", "output")
         if y.ndim == 1:
             return self.adjoint_rank_one(y)
-        return hermitize(self.adjoint_matrix(as_complex_matrix(y)))
+        return self.adjoint_hermitian(hermitize(as_complex_matrix(y)))
+
+    def adjoint_hermitian(self, h: np.ndarray) -> np.ndarray:
+        """Adjoint action on a Hermitian observable h; here `adjoint_matrix`'s, hermitized."""
+        return hermitize(self.adjoint_matrix(h))
 
     def apply_pure(self, vectors: np.ndarray) -> np.ndarray:
         """Output matrix for a pure input vector, or (b, k, k) outputs for a (b, N) stack.
@@ -242,16 +248,6 @@ class StinespringChannel(Channel):
         np.conjugate(vx, out=vx)
         return (vx.reshape(k, -1) @ self.isometry.reshape(k, -1).T).conj()
 
-    def adjoint_matrix(self, y: np.ndarray) -> np.ndarray:
-        # V*(A (x) I)V without forming the kn x kn operator: reshape V into
-        # environment blocks and contract A across the output index.
-        y = np.asarray(y, dtype=np.complex128)
-        v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
-        w = np.tensordot(y, v, axes=(1, 0)).reshape(
-            self.output_dim * self.env_dim, self.input_dim
-        )
-        return adjoint_product(self.isometry, w)
-
     def apply_pure(self, vectors: np.ndarray) -> np.ndarray:
         # a broadcast matmul runs one matrix-vector product per row, the
         # same product a single vector gets (a single GEMM would not be)
@@ -260,13 +256,20 @@ class StinespringChannel(Channel):
         y = y.reshape(*v.shape[:-1], self.output_dim, self.env_dim)
         return y @ y.conj().swapaxes(-1, -2)
 
+    def adjoint_hermitian(self, h: np.ndarray) -> np.ndarray:
+        # V*(H (x) I)V = sum_r l_r B_r* B_r for H = sum_r l_r u_r u_r* and
+        # B_r = sum_i conj(u_ri) V_i: one zherk per panel, with alpha l_r
+        lam, u = np.linalg.eigh(h)
+        v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
+        return adjoint_square(_row_panels(lam, u.T.conj(), v))
+
     def adjoint_rank_one(self, vector: np.ndarray, gram: list | None = None) -> np.ndarray:
-        # V*(aa* (x) I)V = B*B for B = sum_i conj(a_i) V_i, V_i the isometry's
-        # output blocks; expanded, sum_ij a_i conj(a_j) V_i* V_j
+        # V*(aa* (x) I)V = B*B for B = sum_i conj(a_i) V_i, the one-term
+        # case of `adjoint_hermitian`; expanded, sum_ij a_i conj(a_j) V_i* V_j
         a = np.asarray(vector, dtype=np.complex128).reshape(-1)
         if gram is None:
             v = self.isometry.reshape(self.output_dim, self.env_dim, self.input_dim)
-            return adjoint_square(_row_panels(a.conj(), v))
+            return adjoint_square(_row_panels([1.0], a.conj()[None], v))
         # summed over `gram`, the blocks (i, j, G_ij = V_i* V_j) of
         # `rank_one_lift`, the lift is U + U* = hermitize(2U) for
         # U = sum_i (|a_i|^2 / 2) G_ii + sum_{i<j} a_i conj(a_j) G_ij,

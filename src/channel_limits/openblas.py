@@ -8,8 +8,8 @@ thread count `one_thread` pins:
 
 * `householder_product` -- Q of given reflectors in z's own bytes (zungqr);
 * `adjoint_product` -- a* b in one zgemm whose op on a is 'C';
-* `adjoint_square` -- b* b from b's row panels, one zherk each, mirrored
-  in place;
+* `adjoint_square` -- a weighted sum of panels' p* p, one zherk each
+  with its weight as real alpha, mirrored in place;
 * `eigenvalues_two_stage` -- a Hermitian spectrum by zheevd_2stage, in a
   copy or in the caller's bytes.
 
@@ -17,8 +17,8 @@ The first two run LAPACK or BLAS with the arguments numpy's own call
 would pass: zungqr on the reflectors of `np.linalg.qr(z, mode="raw")`
 gives `np.linalg.qr(z)`'s Q bit for bit, and the product is the value of
 `a.conj().T @ b`, bit for bit.  The last two run other algorithms than
-numpy's: zherk's triangle equals the zgemm product's at some sizes and
-not at others, within a few ulp, and the two-stage spectrum agrees with
+numpy's: zherk's triangle is within the rounding bound of an inner
+product over all its panels' rows, and the two-stage spectrum agrees with
 `eigvalsh`'s to rounding.  Where numpy's library does not export a
 symbol, or the operands are not laid out for the call, each kernel
 evaluates a numpy expression itself and keeps its contract, so no caller
@@ -202,39 +202,38 @@ def adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _TILE = 64
 
 
-def adjoint_square(panels) -> np.ndarray:
-    """b* b, exactly Hermitian, as a C-ordered m x m array, for b given by its row panels.
+def adjoint_square(terms) -> np.ndarray:
+    """sum_t w_t p_t* p_t, exactly Hermitian, as a C-ordered m x m array.
 
-    `panels` yields one or more (r_p, m) complex matrices, b's rows from
-    top to bottom; b* b is the sum of their p* p.  One zherk per panel
-    adds p* p to the lower triangle, with half the multiplications of a
-    zgemm, and the strict upper triangle is then mirrored from it in
-    place, a tile at a time, so no temporary is larger than a tile.  A
-    caller that forms b a panel at a time never holds all of it.
+    `terms` yields one or more (w, p): a real weight w of any sign and an
+    (r_p, m) panel p, such as b's row panels with w = 1 for b* b.  One
+    zherk per term, alpha w, adds w p* p to the lower triangle of a zeroed
+    array, with half the multiplications of a zgemm; the strict upper
+    triangle is then mirrored in place, a tile at a time, so no temporary
+    is larger than a tile.
 
-    zherk sums in another order than zgemm: for one panel, b itself, the
-    triangle was that of `hermitize(adjoint_product(b, b))` bit for bit
-    at n = 400 and 800, and a few ulp off it at n = 30, 61 and 300; the
-    panel sums round a few ulp off it again.  Where zherk is not bound,
-    each panel's `adjoint_product(p, p)` is added instead, and the sum is
-    mirrored and its diagonal made real the same way.
+    zherk sums in another order than zgemm: each entry is within the
+    rounding bound of its inner products, and its last bits depend on the
+    CPU's kernels (on SkylakeX's, one panel b gave exactly
+    `hermitize(adjoint_product(b, b))` at n = 400 and 800).  Without
+    zherk, each w * adjoint_product(p, p) is added instead.
     """
-    out, beta = None, 0.0
-    for p in panels:
+    out = None
+    for w, p in terms:
         p = np.ascontiguousarray(p, dtype=np.complex128)
         r, m = p.shape
         if out is None:
-            out = np.empty((m, m), dtype=np.complex128)
+            out = np.zeros((m, m), dtype=np.complex128)
         elif m != len(out):
             raise DimensionMismatchError(f"panel width {m} != first panel's {len(out)}")
-        if _HERK is not None:
-            _HERK[0](_ROW_MAJOR, _LOWER, _CONJ_TRANS, m, r, 1.0, p.ctypes.data, max(1, m),
-                     beta, out.ctypes.data, max(1, m))
-        elif beta:
-            out += adjoint_product(p, p)
+        if _HERK is None:
+            out += w * adjoint_product(p, p)
         else:
-            out[...] = adjoint_product(p, p)
-        beta = 1.0
+            _HERK[0](_ROW_MAJOR, _LOWER, _CONJ_TRANS, m, r, w, p.ctypes.data, max(1, m),
+                     1.0, out.ctypes.data, max(1, m))
+    if out is None:
+        raise DimensionMismatchError("no panels to square")
+    del p  # the last panel keeps a caller's panel buffer alive through the mirror
     tiles = [slice(i, i + _TILE) for i in range(0, m, _TILE)]
     for t, rows in enumerate(tiles):
         diag = out[rows, rows]

@@ -51,6 +51,13 @@ def _hs(a, b):
     return complex(np.trace(a.conj().T @ b))
 
 
+def _dense_adjoint(ch, y):
+    """Phi*(y) for any output-side matrix y: V*(y (x) I)V formed densely, or `adjoint_matrix`."""
+    if isinstance(ch, StinespringChannel):
+        return ch.isometry.conj().T @ np.kron(y, np.eye(ch.env_dim)) @ ch.isometry
+    return ch.adjoint_matrix(y)
+
+
 def _haar_mixed_unitary(weights, n, rng):
     """Channel of len(weights) Haar unitaries on C^n, built by the checking constructor.
 
@@ -202,7 +209,7 @@ def test_depolarizing_adjoint():
 def test_identity_adjoint_is_identity():
     ch = StinespringChannel(np.eye(4), 4, 1)
     a = _random_hermitian(4, np.random.default_rng(9))
-    assert np.abs(ch.adjoint_matrix(a) - a).max() <= 1e-12
+    assert np.abs(ch.adjoint(a) - a).max() <= 1e-12
 
 
 def test_eb_adjoint_closed_form():
@@ -223,7 +230,7 @@ def test_adjoint_duality(seed):
     x = _random_hermitian(4, rng)
     a = _random_hermitian(3, rng)
     lhs = _hs(a, ch.apply_matrix(x))
-    rhs = _hs(ch.adjoint_matrix(a), x)
+    rhs = _hs(ch.adjoint(a), x)
     assert abs(lhs - rhs) <= 1e-10
 
 
@@ -232,7 +239,59 @@ def test_stinespring_adjoint_matches_dense_formula():
     ch = sample_stinespring_channel(3, 4, 7, rng)
     a = _random_hermitian(3, rng)
     dense = ch.isometry.conj().T @ np.kron(a, np.eye(4)) @ ch.isometry
-    assert np.abs(ch.adjoint_matrix(a) - dense).max() <= 1e-12
+    assert np.abs(ch.adjoint(a) - dense).max() <= 1e-12
+
+
+def _observable(kind, rng):
+    if kind == "full-rank-density":
+        return sample_density_matrix(3, rng).matrix
+    if kind == "indefinite":
+        return _random_hermitian(3, rng)
+    if kind == "zero-eigenvalue":  # eigh returns the 0 exactly, a zherk pass with alpha 0
+        return np.diag([0.7, 0.0, -0.2]).astype(np.complex128)
+    if kind == "zero":
+        return np.zeros((3, 3), dtype=np.complex128)
+    return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+
+@pytest.mark.parametrize("channel", ["stinespring", "mixed-unitary"])
+@pytest.mark.parametrize(
+    "kind", ["full-rank-density", "indefinite", "zero-eigenvalue", "zero", "non-hermitian"]
+)
+def test_matrix_lift_matches_the_dense_formula(channel, kind):
+    # the eigen-split sum_r l_r B_r* B_r against V*(H (x) I)V, for H the
+    # observable's Hermitian part; B_r spans two row panels at env = 130
+    rng = np.random.default_rng(36)
+    if channel == "stinespring":
+        ch = sample_stinespring_channel(3, 130, 50, rng)
+    else:
+        ch = _haar_mixed_unitary([0.2, 0.3, 0.5], 130, rng)
+    y = _observable(kind, rng)
+    h = (y + y.conj().T) / 2.0
+    dense = _dense_adjoint(ch, h)
+    got = ch.adjoint(y)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, got.conj().T)
+    assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+    if kind == "zero":
+        assert not got.any()
+
+
+def test_explicit_probe_lift_peaks_within_one_and_a_half_n_squared():
+    # k = 3: the lift and one 128-row panel buffer, shared by the three
+    # terms of the eigen-split; 4.0 n^2 when (A (x) I)V was formed for a zgemm
+    n = 300
+    rng = stream(37)
+    ch = sample_mixed_unitary_channel(3, n, [0.2, 0.3, 0.5], rng)
+    rho = sample_density_matrix(3, rng).matrix
+    ch.adjoint(rho)  # first-call allocations
+    tracemalloc.start()
+    try:
+        ch.adjoint(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * n * n) <= 1.5
 
 
 def test_stinespring_forward_map_matches_dense_partial_trace():
@@ -290,7 +349,7 @@ def test_rank_one_fast_paths_match_generic():
             ch.apply_pure(x) - ch.apply_matrix(np.outer(x, x.conj()))
         ).max() <= 1e-12
         assert np.abs(
-            ch.adjoint_rank_one(a) - ch.adjoint_matrix(np.outer(a, a.conj()))
+            ch.adjoint_rank_one(a) - _dense_adjoint(ch, np.outer(a, a.conj()))
         ).max() <= 1e-12
 
 
@@ -404,7 +463,8 @@ def test_mixed_unitary_kernels_match_direct_index_sums():
         )
 
     y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.abs(ch.adjoint_matrix(y) - direct_adjoint(y)).max() <= 1e-12
+    y = (y + y.conj().T) / 2.0
+    assert np.abs(ch.adjoint(y) - direct_adjoint(y)).max() <= 1e-12
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     rank_one = direct_adjoint(np.outer(a, a.conj()))
     assert np.abs(ch.adjoint_rank_one(a) - rank_one).max() <= 1e-12
@@ -521,7 +581,7 @@ def test_adjoint_matrix_units_match_the_lifted_units(kind):
         for j in range(k):
             unit = np.zeros((k, k), dtype=np.complex128)
             unit[i, j] = 1.0
-            assert np.abs(got[i, j] - ch.adjoint_matrix(unit) @ x).max() <= 1e-12
+            assert np.abs(got[i, j] - _dense_adjoint(ch, unit) @ x).max() <= 1e-12
 
 
 def _complement(ch):
@@ -571,7 +631,7 @@ def test_projection_compression_shares_spectrum_with_adjoint():
     p = ch.isometry @ ch.isometry.conj().T
     compressed = p @ np.kron(a, np.eye(4)) @ p
     s1 = _nonzero_spectrum(compressed)
-    s2 = _nonzero_spectrum(ch.adjoint_matrix(a))
+    s2 = _nonzero_spectrum(ch.adjoint(a))
     m = min(s1.size, s2.size)
     assert np.abs(s1[:m] - s2[:m]).max() <= 1e-9
 

@@ -1,5 +1,6 @@
 """Experiment harness: config parsing, runners, serialization, CLI."""
 
+import ctypes
 import importlib.util
 import json
 import logging
@@ -369,6 +370,50 @@ def test_runs_without_native_kernels_stay_within_golden_tolerance(monkeypatch, c
     _assert_csv_within_golden_tolerance(
         render_csv(run_experiment(load_config(f"{config}.cfg"))), Path(f"{result}.csv").read_text()
     )
+
+
+def _openblas_core():
+    """The core type whose kernels numpy's OpenBLAS picked, or None if it does not say."""
+    corename = openblas._bind(("scipy_openblas_get_corename64_", ctypes.c_char_p, []))
+    return None if corename is None else corename[0]().decode()
+
+
+# OpenBLAS core types of CPUs that also run its Haswell kernels (AVX2 and FMA);
+# a child process is never sent to a newer core than the host's, whose
+# kernels could raise SIGILL
+RUNS_HASWELL_KERNELS = {"SkylakeX", "Cooperlake", "SapphireRapids", "Zen"}
+
+_CHILD_RUN = """
+import ctypes, json, sys
+from channel_limits import openblas
+from channel_limits.config import load_config
+from channel_limits.experiments import render_csv, run_experiment
+(corename,) = openblas._bind(("scipy_openblas_get_corename64_", ctypes.c_char_p, []))
+runs = {path: render_csv(run_experiment(load_config(path))) for path in sys.argv[1:]}
+print(json.dumps({"core": corename().decode(), "runs": runs}))
+"""
+
+
+@pytest.mark.skipif(
+    _openblas_core() not in RUNS_HASWELL_KERNELS,
+    reason="OpenBLAS picked no core type newer than Haswell on this CPU",
+)
+def test_golden_configs_under_other_kernels_stay_within_golden_tolerance():
+    # another CPU's kernels, as OpenBLAS would pick them there: the promise
+    # across machines is the golden tolerance, not the committed bytes
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    configs = [str(GOLDEN_DIR / f"{stem}.cfg") for stem in MONTE_CARLO_GOLDENS]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_RUN, *configs], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["core"] == "Haswell"
+    for stem, cfg in zip(MONTE_CARLO_GOLDENS, configs):
+        _assert_csv_within_golden_tolerance(
+            child["runs"][cfg], (GOLDEN_DIR / f"{stem}.csv").read_text()
+        )
 
 
 # ----------------------------------------------------------------------- cli

@@ -145,17 +145,6 @@ def test_lapack_failure_raises():
 
 FALLBACK_CONFIGS = [
     """
-experiment = cm-convergence
-k = 3
-weights = 0.2, 0.3, 0.5
-probe = explicit
-probeMatrix = 0.5,0 ; 0.1,0.1 ; 0,0 ; 0.1,-0.1 ; 0.3,0 ; 0.05,0 ; 0,0 ; 0.05,0 ; 0.2,0
-nGrid = 30, 61
-trials = 2
-m = 4
-masterSeed = 11
-""",
-    """
 experiment = stinespring-peak
 k = 2
 t = 0.3
@@ -169,7 +158,7 @@ masterSeed = 12
 
 
 @bound
-@pytest.mark.parametrize("text", FALLBACK_CONFIGS, ids=["cm-convergence", "stinespring-peak"])
+@pytest.mark.parametrize("text", FALLBACK_CONFIGS, ids=["stinespring-peak"])
 def test_numpy_fallback_writes_the_same_bytes(monkeypatch, text):
     cfg = parse_config_text(text)
     kernels = experiments.emit_results(experiments.run_experiment(cfg))
@@ -231,44 +220,122 @@ def test_mixed_unitary_trial_from_the_crossover_peaks_within_four_and_a_half_n_s
 # ------------------------------------------- zherk lift and two-stage solve
 
 
-def _assert_whole_lift(square, want):
+def _rounding_bound(terms):
+    """Twice the rounding bound of each entry of sum_t w_t p_t* p_t.
+
+    Each entry is a complex inner product of length R, the panels' rows
+    together, and a computed one is within gamma_(R+2) |x|^T |y| of its
+    value, gamma_j = j u / (1 - j u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sections 3.1 and 3.6).  The weights and
+    the sum over terms round once more each, so gamma_(R+T+3) for T terms
+    bounds one computation, and twice that bounds two computations apart,
+    whatever order either sums in.
+    """
+    u = np.finfo(float).eps / 2
+    j = sum(len(p) for _, p in terms) + len(terms) + 3
+    scale = sum(abs(w) * (np.abs(p).T @ np.abs(p)) for w, p in terms)
+    return 2 * j * u / (1 - j * u) * scale
+
+
+def _dense_square(terms):
+    return hermitize(sum(w * (p.conj().T @ p) for w, p in terms))
+
+
+def _assert_whole_lift(square, want, bound):
     assert square.flags.c_contiguous
     assert np.array_equal(square, square.conj().T)  # exactly Hermitian
     assert not np.diagonal(square).imag.any()
-    assert np.abs(square - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+    assert np.all(np.abs(square - want) <= bound)
+
+
+def _row_splits(b):
+    # b whole, then b in row panels of 128 (a lift's), and of 7
+    return [[b], np.split(b, range(128, len(b), 128)), np.split(b, range(7, len(b), 7))]
+
+
+# the last two are where SkylakeX's zherk kernels gave the zgemm product's
+# triangle bit for bit, which other kernels do not
+HERK_SHAPES = [(4, 4), (30, 30), (61, 61), (300, 300), (800, 240), (400, 400), (800, 800)]
 
 
 @herk_bound
-@pytest.mark.parametrize("shape", [(4, 4), (30, 30), (61, 61), (300, 300), (800, 240)])
+@pytest.mark.parametrize("shape", HERK_SHAPES)
 def test_herk_triangle_is_within_a_few_ulp_of_the_hermitized_product(shape):
+    # a few ulp per term of each inner product: the rounding bound, which
+    # holds on any CPU's kernels, not one kernel's bits
     b = _ginibre(shape, 10)
     want = hermitize(adjoint_product(b, b))
-    # b whole, then b in row panels of 128 (the rank-one lift's), and of 7
-    for panels in ([b], np.split(b, range(128, len(b), 128)), np.split(b, range(7, len(b), 7))):
-        _assert_whole_lift(adjoint_square(panels), want)
+    for panels in _row_splits(b):
+        terms = [(1.0, p) for p in panels]
+        _assert_whole_lift(adjoint_square(terms), want, _rounding_bound(terms))
+
+
+WEIGHTS = {
+    "negative": [-0.7],
+    "zero": [0.0],
+    "mixed-sign": [1.5, -0.25, 0.0, -2.0],
+}
+
+
+@pytest.mark.parametrize("herk", [True, False], ids=["zherk", "numpy"])
+@pytest.mark.parametrize("weights", WEIGHTS.values(), ids=WEIGHTS.keys())
+def test_weighted_terms_are_within_the_rounding_bound_of_the_dense_sum(monkeypatch, herk, weights):
+    if herk and openblas._HERK is None:
+        pytest.skip("no cblas_zherk bound")
+    if not herk:
+        monkeypatch.setattr(openblas, "_HERK", None)
+    # one b per weight, of 200 or 130 rows, in panels of 128 rows and the rest
+    terms = []
+    for t, w in enumerate(weights):
+        b = _ginibre((200 if t % 2 == 0 else 130, 90), 20 + t)
+        terms += [(w, p) for p in np.split(b, range(128, len(b), 128))]
+    got = adjoint_square(terms)
+    _assert_whole_lift(got, _dense_square(terms), _rounding_bound(terms))
+    if not any(weights):
+        assert not got.any()
 
 
 @herk_bound
-@pytest.mark.parametrize("n", [400, 800])
-def test_herk_triangle_is_the_hermitized_product_bit_for_bit(n):
-    b = _ginibre((n, n), 11)
-    assert np.array_equal(adjoint_square([b]), hermitize(adjoint_product(b, b)))
+def test_rounding_bound_refuses_an_entry_off_by_1e_10():
+    # the negative control: the bound is tight enough to see a wrong entry
+    b = _ginibre((300, 300), 10)
+    terms = [(1.0, p) for p in np.split(b, range(128, 300, 128))]
+    square = adjoint_square(terms)
+    want, bound = hermitize(adjoint_product(b, b)), _rounding_bound(terms)
+    _assert_whole_lift(square, want, bound)
+    square[200, 3] *= 1.0 + 1e-10
+    square[3, 200] = square[200, 3].conjugate()
+    with pytest.raises(AssertionError):
+        _assert_whole_lift(square, want, bound)
 
 
 @pytest.mark.parametrize("n", [20, 130, 300])
 def test_lift_panels_are_the_rows_of_b_bit_for_bit(n):
     ch = sample_mixed_unitary_channel(3, n, [0.2, 0.3, 0.5], stream(12, n))
-    c = np.array([0.6, 0.0, 0.8j]).conj()
+    c = np.array([[0.6, 0.0, 0.8j], [0.0, 1.0, 0.0]]).conj()
     v = ch.isometry.reshape(3, n, n)
-    panels = [p.copy() for p in channels._row_panels(c, v)]
-    assert max(len(p) for p in panels) == min(n, channels._PANEL_ROWS)
-    assert np.array_equal(np.concatenate(panels), np.tensordot(c, v, axes=(0, 0)))
+    terms = [(w, p.copy()) for w, p in channels._row_panels([2.0, -1.0], c, v)]
+    assert max(len(p) for _, p in terms) == min(n, channels._PANEL_ROWS)
+    half = len(terms) // 2  # the panels of B_0, then those of B_1
+    for t, w in enumerate([2.0, -1.0]):
+        own = terms[t * half : (t + 1) * half]
+        assert all(weight == w for weight, _ in own)
+        b = np.tensordot(c[t], v, axes=(0, 0))
+        assert np.array_equal(np.concatenate([p for _, p in own]), b)
 
 
 @herk_bound
 def test_herk_refuses_panels_of_another_width():
     with pytest.raises(DimensionMismatchError):
-        adjoint_square([_ginibre((3, 5), 14), _ginibre((3, 4), 15)])
+        adjoint_square([(1.0, _ginibre((3, 5), 14)), (1.0, _ginibre((3, 4), 15))])
+
+
+def test_adjoint_square_refuses_no_panels(monkeypatch):
+    # with the symbol bound, where it is, and then without it
+    for herk in (openblas._HERK, None):
+        monkeypatch.setattr(openblas, "_HERK", herk)
+        with pytest.raises(DimensionMismatchError):
+            adjoint_square([])
 
 
 def test_two_stage_solve_refuses_a_matrix_that_is_not_square(monkeypatch):
@@ -286,10 +353,11 @@ def test_lift_without_zherk_is_within_a_few_ulp_of_the_hermitized_product(monkey
         ch = sample_mixed_unitary_channel(3, n, [0.2, 0.3, 0.5], stream(12, 0))
         b = np.tensordot(a.conj(), ch.isometry.reshape(3, n, n), axes=(0, 0))
         want = hermitize(adjoint_product(b, b))
-        _assert_whole_lift(ch.adjoint_rank_one(a), want)
-        # b whole, then b in row panels of 128 (the rank-one lift's), and of 7
-        for panels in ([b], np.split(b, range(128, n, 128)), np.split(b, range(7, n, 7))):
-            _assert_whole_lift(adjoint_square(panels), want)
+        bound = _rounding_bound([(1.0, b)])
+        _assert_whole_lift(ch.adjoint_rank_one(a), want, bound)
+        for panels in _row_splits(b):
+            terms = [(1.0, p) for p in panels]
+            _assert_whole_lift(adjoint_square(terms), want, _rounding_bound(terms))
 
 
 def _probe_lift(n):
