@@ -140,7 +140,10 @@ class Channel:
 
     def adjoint_matrix(self, y: np.ndarray) -> np.ndarray:
         """Action of the adjoint map on an arbitrary output-side matrix."""
-        raise NotImplementedError
+        raise NotImplementedError(
+            f"{type(self).__name__} has no adjoint_matrix; `adjoint` lifts a matrix"
+            " as its Hermitian part"
+        )
 
     def apply(self, state) -> DensityMatrix | np.ndarray:
         """Apply to a mixed state or to unit vectors, returning validated states.
@@ -190,7 +193,7 @@ class Channel:
     def adjoint_rank_one(self, vector: np.ndarray) -> np.ndarray:
         """Adjoint lift of the rank-one observable built on `vector`."""
         v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        return hermitize(self.adjoint_matrix(np.outer(v, v.conj())))
+        return self.adjoint_hermitian(np.outer(v, v.conj()))
 
     def adjoint_matrix_units(self, x: np.ndarray) -> np.ndarray:
         """Phi*(E_ij) x for every matrix unit E_ij = e_i e_j* of the output side.

@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import load_config
+from .config import load_config, validate_config
 from .errors import ConfigError
 from .experiments import emit_results, run_experiment, usable_cores
 
@@ -100,6 +100,7 @@ def _run(args: argparse.Namespace) -> int:
         cfg = load_config(args.config)
         overrides = {"master_seed": args.seed, "output_path": args.out}
         cfg = replace(cfg, **{key: v for key, v in overrides.items() if v is not None})
+        validate_config(cfg)
         if args.threads < 1:
             raise ConfigError(f"threads: must be positive, got {args.threads}")
         dest = cfg.output_path

@@ -215,6 +215,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         value = getattr(cfg, _field(key))
         if value < 1:
             raise ConfigError(f"{key}: must be positive, got {value}")
+    if not 0 <= cfg.master_seed < 2**64:  # the stream keys on 64 bits
+        raise ConfigError(f"masterSeed: {cfg.master_seed} outside [0, 2^64)")
     if any(n < 1 for n in cfg.n_grid):
         raise ConfigError("nGrid: entries must be positive")
     if any(not (0.0 < r < 1.0) for r in cfg.r_grid):

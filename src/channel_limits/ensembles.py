@@ -29,22 +29,6 @@ def stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _complex_gaussian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Unit-variance complex Gaussians from real and imaginary standard normals.
-
-    Both parts are scaled by 1/sqrt(2) straight into one complex array.
-    numpy divides a complex array by a real scalar as a product with its
-    reciprocal, so the values are those of
-    `(re + 1j * im) / np.sqrt(2.0)`, bit for bit, without that
-    expression's three temporaries.
-    """
-    z = np.empty(re.shape, dtype=np.complex128)
-    scale = 1.0 / np.sqrt(2.0)
-    np.multiply(re, scale, out=z.real)
-    np.multiply(im, scale, out=z.imag)
-    return z
-
-
 # columns whose reflectors are drawn and computed at a time; the order of the
 # norms' sums, and so the last bits of every draw, depends on it
 _BAND = 64
@@ -54,7 +38,7 @@ def _reflectors(z: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np
     """Stewart's reflectors of a Haar isometry below the (m, c) z's diagonal; tau, sign(beta).
 
     Column j, in order, draws m - j real parts, then m - j imaginary
-    parts, as `_complex_gaussian` scales them: a Gaussian x in C^(m - j),
+    parts, each scaled by 1/sqrt(2): a Gaussian x in C^(m - j),
     sent to beta e_1 by zlarfg's reflector I - tau v v*, with alpha = x[0],
     beta = -copysign(|x|, Re alpha), tau = (beta - alpha) / beta and
     v = (1, x[1:] / (alpha - beta)).  In the QR of a Ginibre matrix, what
@@ -138,14 +122,14 @@ def sample_pure_state(
     if dim <= 0:
         raise DimensionMismatchError("dimension must be positive")
     g = rng.standard_normal((1 if count is None else count, 2, dim))
-    v = _complex_gaussian(g[:, 0], g[:, 1])
+    v = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     v /= row_norms(v)[:, None]
     return v[0] if count is None else v
 
 
 def sample_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Random full-rank state G G* / Tr[G G*] from a square Ginibre G."""
-    g = _complex_gaussian(rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim)))
+    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     m = g @ g.conj().T
     return DensityMatrix.normalized(m / np.trace(m).real)
 

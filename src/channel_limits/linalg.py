@@ -351,17 +351,10 @@ def von_neumann_entropy(states):
     """
     vals = np.linalg.eigvalsh(_hermitian_part(states, stack=True))
     _floor_check(vals, "negative eigenvalue")
-    flat = np.clip(vals, 0.0, None).reshape(-1, vals.shape[-1])
-    # eigvalsh sorts ascending, so each row's positive values are a suffix.
-    # Rows are summed in groups that share the suffix start: padding a row
-    # with zero terms would regroup numpy's pairwise sum from 8 terms on and
-    # move the last bit, against the one-state sum over the positives alone.
-    start = np.count_nonzero(flat <= 0.0, axis=-1)
-    sums = np.empty(flat.shape[0])
-    for s in set(start.tolist()):
-        rows = start == s
-        pos = flat[rows, s:]
-        sums[rows] = np.sum(pos * np.log(pos), axis=-1)
+    vals = np.clip(vals, 0.0, None)
+    # a clipped zero adds 0 log 0 = 0, an exact zero, so each row is one sum
+    # over all its terms and the same double stacked or alone
+    logs = np.log(vals, out=np.zeros_like(vals), where=vals > 0.0)
     # adding +0.0 turns the -0.0 of a pure state into 0.0
-    entropy = (np.maximum(0.0, -sums) + 0.0).reshape(vals.shape[:-1])
+    entropy = np.maximum(0.0, -np.sum(vals * logs, axis=-1)) + 0.0
     return float(entropy) if entropy.ndim == 0 else entropy

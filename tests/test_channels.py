@@ -242,6 +242,15 @@ def test_stinespring_adjoint_matches_dense_formula():
     assert np.abs(ch.adjoint(a) - dense).max() <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["stinespring", "mixed-unitary"])
+def test_dilated_channels_say_why_adjoint_matrix_is_missing(kind):
+    # their lift takes Hermitian observables only, so the stub points to `adjoint`
+    ch = _sample_channel(kind, np.random.default_rng(37))
+    name = type(ch).__name__
+    with pytest.raises(NotImplementedError, match=f"^{name} has no adjoint_matrix; `adjoint`"):
+        ch.adjoint_matrix(np.eye(3))
+
+
 def _observable(kind, rng):
     if kind == "full-rank-density":
         return sample_density_matrix(3, rng).matrix
@@ -378,6 +387,8 @@ def test_vector_forms_match_matrix_forms(kind):
         lifted = ch.adjoint(a)
         assert np.abs(lifted - ch.adjoint(np.outer(a, a.conj()))).max() <= 1e-14
         assert np.array_equal(lifted, lifted.conj().T)
+        if kind in ("eb", "depolarizing"):  # the generic vector lift is the matrix lift
+            assert np.array_equal(lifted, ch.adjoint(np.outer(a, a.conj())))
 
 
 @pytest.mark.parametrize("kind", ["stinespring", "mixed-unitary", "eb", "depolarizing"])

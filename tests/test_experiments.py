@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, runners, serialization, CLI."""
 
 import ctypes
+import functools
 import importlib.util
 import json
 import logging
@@ -383,6 +384,28 @@ def _openblas_core():
 # kernels could raise SIGILL
 RUNS_HASWELL_KERNELS = {"SkylakeX", "Cooperlake", "SapphireRapids", "Zen"}
 
+# a k = 3 mixed-unitary run at sizes the golden configs stay below: n = 520
+# takes the two-stage solve (n >= linalg.TWO_STAGE_MIN_DIM), and at two
+# workers the n = 100 trial ends first and frees a worker for the n = 520
+# trial's helper QR
+REALISTIC_TEXT = (
+    "experiment = cm-convergence\nk = 3\nweights = 0.2, 0.3, 0.5\n"
+    "nGrid = 100, 520\ntrials = 1\nmasterSeed = 17\n"
+)
+
+
+@pytest.fixture(scope="module")
+def realistic_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("realistic") / "realistic.cfg"
+    path.write_text(REALISTIC_TEXT)
+    return str(path)
+
+
+@functools.cache
+def _in_process_run(cfg_path):
+    return render_csv(run_experiment(load_config(cfg_path)))
+
+
 _CHILD_RUN = """
 import ctypes, json, sys
 from channel_limits import openblas
@@ -398,14 +421,17 @@ print(json.dumps({"core": corename().decode(), "runs": runs}))
     _openblas_core() not in RUNS_HASWELL_KERNELS,
     reason="OpenBLAS picked no core type newer than Haswell on this CPU",
 )
-def test_golden_configs_under_other_kernels_stay_within_golden_tolerance():
+def test_golden_configs_under_other_kernels_stay_within_golden_tolerance(realistic_config):
     # another CPU's kernels, as OpenBLAS would pick them there: the promise
     # across machines is the golden tolerance, not the committed bytes
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     configs = [str(GOLDEN_DIR / f"{stem}.cfg") for stem in MONTE_CARLO_GOLDENS]
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD_RUN, *configs], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _CHILD_RUN, *configs, realistic_config],
+        capture_output=True,
+        text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)
@@ -414,6 +440,10 @@ def test_golden_configs_under_other_kernels_stay_within_golden_tolerance():
         _assert_csv_within_golden_tolerance(
             child["runs"][cfg], (GOLDEN_DIR / f"{stem}.csv").read_text()
         )
+    # the realistic run has no committed file: it is held to this machine's run
+    _assert_csv_within_golden_tolerance(
+        child["runs"][realistic_config], _in_process_run(realistic_config)
+    )
 
 
 # ----------------------------------------------------------------------- cli
@@ -725,6 +755,9 @@ def test_cli_runtime_failure_is_exit_two(tmp_path, capsys, monkeypatch):
         ("experiment = cm-convergence\nk = 2\nweights = 0.5, 0.5\nnGrid = 3, 8\nm = 5\n", "m:"),
         # the Stinespring lift at n = 4, t = 0.3 is 2 x 2
         ("experiment = cm-convergence\nk = 2\nt = 0.3\nnGrid = 4\nm = 3\n", "m:"),
+        # the stream keys on 64 bits: -5 and 2^64 - 5 would draw alike
+        (SWEEP_TEXT.replace("masterSeed = 7", "masterSeed = -5"), "masterSeed:"),
+        (SWEEP_TEXT.replace("masterSeed = 7", f"masterSeed = {2**64}"), "masterSeed:"),
     ],
     ids=[
         "not-an-integer",
@@ -739,6 +772,8 @@ def test_cli_runtime_failure_is_exit_two(tmp_path, capsys, monkeypatch):
         "probe-dimension-not-k",
         "m-above-the-lift-dimension",
         "m-above-the-stinespring-lift-dimension",
+        "negative-seed",
+        "seed-past-64-bits",
     ],
 )
 def test_cli_config_rejections_are_exit_one(tmp_path, capsys, monkeypatch, text, fragment):
@@ -751,6 +786,15 @@ def test_cli_config_rejections_are_exit_one(tmp_path, capsys, monkeypatch, text,
     assert code == 1
     assert captured.out == ""
     assert f"config error: {fragment}" in captured.err
+
+
+@pytest.mark.parametrize("seed, code", [(-5, 1), (2**64, 1), (2**64 - 1, 0), (0, 0)])
+def test_cli_seed_flag_is_held_to_the_seed_range(tmp_path, capsys, seed, code):
+    # --seed replaces masterSeed after the file's checks, and is checked again
+    path = _write(tmp_path, "sweep.cfg", SWEEP_TEXT)
+    assert cli_main(["run", path, "--out", "-", "--seed", str(seed)]) == code
+    err = capsys.readouterr().err
+    assert ("config error: masterSeed:" in err) == (code == 1)
 
 
 def test_cli_module_invocation(tmp_path):
@@ -909,7 +953,9 @@ def test_output_cloud_is_byte_identical_across_worker_threads():
 @pytest.mark.parametrize(
     "blas_threads, workers", [(None, "2"), ("2", "1")], ids=["blas-unset", "blas-2"]
 )
-def test_committed_bytes_do_not_depend_on_openblas_threads(tmp_path, blas_threads, workers):
+def test_committed_bytes_do_not_depend_on_openblas_threads(
+    tmp_path, realistic_config, blas_threads, workers
+):
     # a fresh process reads OPENBLAS_NUM_THREADS when numpy loads; unset, OpenBLAS
     # takes one thread per core, and its blocking changes the last bits at n = 300.
     # Its bytes are held to this process's run on the same machine, since
@@ -919,17 +965,20 @@ def test_committed_bytes_do_not_depend_on_openblas_threads(tmp_path, blas_thread
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    out = tmp_path / "weyl_invariance.csv"
-    cfg_path = REPO / "configs" / "weyl_invariance.cfg"
-    proc = subprocess.run(
-        [sys.executable, "-m", "channel_limits", "run", str(cfg_path), "--out", str(out),
-         "--threads", workers],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_text() == render_csv(run_experiment(load_config(str(cfg_path))))
+    # the committed n = 300, k = 2 run, then the realistic config at two
+    # workers, whose helper QR and two-stage solve that run never reaches
+    runs = [(str(REPO / "configs" / "weyl_invariance.cfg"), workers), (realistic_config, "2")]
+    for cfg_path, threads in runs:
+        out = tmp_path / "out.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "channel_limits", "run", cfg_path, "--out", str(out),
+             "--threads", threads],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text() == _in_process_run(cfg_path), cfg_path
 
 
 @pytest.mark.skipif(openblas._BLAS_THREADS is None, reason="numpy has no bundled OpenBLAS")

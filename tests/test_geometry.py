@@ -319,6 +319,81 @@ def test_a_restart_whose_ritz_space_stops_growing_ends_stalled(monkeypatch, tmp_
     assert "[channel-limits] ascent: 0 of 8 restarts capped, 8 stalled" in err
 
 
+def _rayleigh_quotient():
+    # f(a) = <a| m |a> on the unit sphere of C^3, with its top at 1.0
+    m = np.diag([0.2, 0.5, 1.0]).astype(np.complex128)
+    return np.full(3, 1.0 / np.sqrt(3.0), dtype=np.complex128), m
+
+
+def test_reduced_bfgs_resets_a_direction_that_points_downhill():
+    # with h = -I the first quasi-Newton direction has a negative slope; it
+    # is replaced by the gradient, and the run still climbs to the top
+    a, m = _rayleigh_quotient()
+    start = geometry._value_and_gradient(m, a)
+    b, _, end = geometry._sphere_bfgs(lambda x: geometry._value_and_gradient(m, x), a, -np.eye(6))
+    assert b is not a and end[0] > start[0]
+    assert end[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_reduced_bfgs_returns_its_start_when_no_trial_point_rises():
+    # every trial point comes out lower, so backtracking runs out of step
+    # length and the run ends where it began
+    a, m = _rayleigh_quotient()
+    start = geometry._value_and_gradient(m, a)
+
+    def evaluate(x):
+        if x is a:
+            return start
+        f, g = geometry._value_and_gradient(m, x)
+        return f - 1.0, g
+
+    b, _, end = geometry._sphere_bfgs(evaluate, a, None)
+    assert b is a and end is start
+
+
+def test_a_restart_whose_reduced_run_takes_no_step_ends_stalled(monkeypatch):
+    # every reduced point after the start comes out lower, so the reduced
+    # run returns its start and the restart ends after its first full
+    # evaluation, unconverged
+    ritz_evaluate = geometry._RitzSpace.evaluate
+    calls = []
+
+    def sinking(space, a):
+        calls.append(a)
+        point = ritz_evaluate(space, a)
+        return point if len(calls) == 1 else (point[0] - 1.0, *point[1:])
+
+    monkeypatch.setattr(geometry._RitzSpace, "evaluate", sinking)
+    ch = StinespringRegime(2, 0.3).sample(100, stream(12, 0))
+    res = norm_ascent(ch, stream(12, 1), restarts=1, iter_cap=60)
+    assert len(calls) > 2
+    assert tuple((r.evaluations, r.converged) for r in res.restarts) == ((1, False),)
+    assert res.restarts[0].gradient_norm > geometry._GRADIENT_TOL
+    _assert_attained(ch, res)
+
+
+def test_a_restart_whose_full_value_falls_ends_stalled(monkeypatch, tmp_path, capsys):
+    # every full evaluation but a restart's first has a warm start; taken
+    # lower, it neither rises nor ties, and the restart ends unconverged
+    # below the cap
+    evaluate = geometry._evaluate
+
+    def falling(channel, lift, a, start=None):
+        point = evaluate(channel, lift, a, start)
+        return point if start is None else (point[0] - 1.0, *point[1:])
+
+    monkeypatch.setattr(geometry, "_evaluate", falling)
+    ch = StinespringRegime(2, 0.3).sample(100, stream(12, 0))
+    res = norm_ascent(ch, stream(12, 1), restarts=1, iter_cap=60)
+    assert tuple((r.evaluations, r.converged) for r in res.restarts) == ((2, False),)
+    _assert_attained(ch, res)
+    # the CLI counts such restarts as stalled, apart from the capped ones
+    cfg = Path(__file__).parent / "golden" / "stinespring_peak.cfg"
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path / "peak.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "[channel-limits] ascent: 0 of 8 restarts capped, 8 stalled" in err
+
+
 def test_ascent_tracks_limit_at_large_dimension():
     # flat three-unitary mix at n = 800: the largest output eigenvalue of a
     # flat rank-one probe concentrates near 8/9
