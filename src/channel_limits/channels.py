@@ -193,7 +193,8 @@ class Channel:
     def adjoint_rank_one(self, vector: np.ndarray) -> np.ndarray:
         """Adjoint lift of the rank-one observable built on `vector`."""
         v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        return self.adjoint_hermitian(np.outer(v, v.conj()))
+        # hermitized as `adjoint` does aa*, whose diagonal numpy can leave off the real axis
+        return self.adjoint_hermitian(hermitize(np.outer(v, v.conj())))
 
     def adjoint_matrix_units(self, x: np.ndarray) -> np.ndarray:
         """Phi*(E_ij) x for every matrix unit E_ij = e_i e_j* of the output side.

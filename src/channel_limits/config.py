@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channels import validate_weights
-from .ensembles import StinespringRegime
+from .ensembles import SEED_LIMIT, StinespringRegime
 from .errors import BadWeightsError, ConfigError, InvalidDensityMatrixError
 from .linalg import DensityMatrix
 
@@ -215,7 +215,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         value = getattr(cfg, _field(key))
         if value < 1:
             raise ConfigError(f"{key}: must be positive, got {value}")
-    if not 0 <= cfg.master_seed < 2**64:  # the stream keys on 64 bits
+    if not 0 <= cfg.master_seed < SEED_LIMIT:
         raise ConfigError(f"masterSeed: {cfg.master_seed} outside [0, 2^64)")
     if any(n < 1 for n in cfg.n_grid):
         raise ConfigError("nGrid: entries must be positive")

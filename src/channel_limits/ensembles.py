@@ -8,24 +8,26 @@ of how many other trials run or on which threads.
 
 from __future__ import annotations
 
-import functools
-from concurrent.futures import Executor
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import MixedUnitaryChannel, StinespringChannel, validate_weights
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, OutOfRangeError
 from .linalg import DensityMatrix, row_norms
 from .openblas import householder_product
 
 
+# master seeds lie in [0, SEED_LIMIT): the stream keys on 64 bits
+SEED_LIMIT = 2**64
+
+
 def stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:
     """Independent generator keyed by (master_seed, stream_index)."""
-    key = np.array(
-        [np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream_index)],
-        dtype=np.uint64,
-    )
+    if not 0 <= master_seed < SEED_LIMIT:
+        raise OutOfRangeError(f"master_seed: {master_seed} outside [0, 2^64)")
+    key = np.array([master_seed, stream_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -67,14 +69,15 @@ def _reflectors(z: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np
     return tau, signs
 
 
-def _haar_from_reflectors(z: np.ndarray, tau: np.ndarray, phases: np.ndarray) -> None:
-    """Form Q of z's reflectors in z's bytes, column j times phases[j].
+def _haar_in(z: np.ndarray, rng: np.random.Generator) -> None:
+    """Form a Haar isometry in z's bytes: Q of Stewart's reflectors, column j times sign(beta_j).
 
-    R's diagonal is beta, so phases sign(beta) make Q Haar (Mezzadri,
-    Notices AMS 54, 2007); a block's scale rides on them, exactly.
+    R's diagonal is beta, so these phases make Q Haar (Mezzadri, Notices
+    AMS 54, 2007).
     """
+    tau, signs = _reflectors(z, rng)
     householder_product(z, tau)
-    z *= phases
+    z *= signs
 
 
 def haar_unitary(dim: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
@@ -91,7 +94,7 @@ def haar_unitary(dim: int, rng: np.random.Generator, out: np.ndarray | None = No
         out = np.empty((dim, dim), dtype=np.complex128)
     elif out.shape != (dim, dim) or out.dtype != np.complex128 or not out.flags.c_contiguous:
         raise DimensionMismatchError(f"out must be a C-contiguous complex ({dim}, {dim}) array")
-    _haar_from_reflectors(out.T, *_reflectors(out.T, rng))
+    _haar_in(out.T, rng)
     return out
 
 
@@ -106,7 +109,7 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     if cols <= 0 or rows <= 0:
         raise DimensionMismatchError("dimensions must be positive")
     z = np.empty((rows, cols), dtype=np.complex128, order="F")
-    _haar_from_reflectors(z, *_reflectors(z, rng))
+    _haar_in(z, rng)
     return np.ascontiguousarray(z)
 
 
@@ -134,54 +137,74 @@ def sample_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix.normalized(m / np.trace(m).real)
 
 
+def _cmv_band(out: np.ndarray, rng: np.random.Generator, scale: float) -> None:
+    """Write scale * C into the band of a zeroed (n, n) out, C a CMV matrix with CUE(n) spectrum.
+
+    Killip and Nenciu (IMRN 2004, no. 50): C = LM, with L = T_0 + T_2 + ...
+    and M = 1 + T_1 + T_3 + ... block diagonal, T_j = [[conj a_j, r_j],
+    [r_j, -a_j]], r_j = sqrt(1 - |a_j|^2) and the block of j = n - 1 cut to
+    [conj a_(n-1)], has a Haar unitary's spectrum when the a_j are
+    independent, |a_j|^2 ~ Beta(1, n - j - 1) with a uniform phase and
+    a_(n-1) uniform on the unit circle.  The stream gives n - 1 uniforms
+    u in (0, 1] for the moduli, taken by the inverse CDF as
+    r_j = u^(1 / (2 (n - j - 1))) and |a_j|^2 = -expm1(log u / (n - j - 1)),
+    then n for the phases.  Rows 2p, 2p + 1 of C are T_2p times rows 2p,
+    2p + 1 of M, which hold (r_(2p-1), -a_(2p-1)) in columns 2p - 1, 2p and
+    (conj a_(2p+1), r_(2p+1)) in columns 2p + 1, 2p + 2: only these 4n band
+    entries are written.
+    """
+    n = out.shape[0]
+    u = 1.0 - rng.random(n - 1)
+    phases = np.exp(2j * np.pi * rng.random(n))
+    dof = np.arange(n - 1, 0, -1.0)
+    # a_j and r_j at index j + 1: a_(-1) = -1 and r_(-1) = 0 give M's leading
+    # 1, and the zeros past j = n - 1 cut the last block
+    pairs = (n + 1) // 2
+    a, r = np.zeros(2 * pairs + 1, dtype=np.complex128), np.zeros(2 * pairs + 1)
+    a[0], a[1 : n + 1] = -1.0, phases
+    a[1:n] *= np.sqrt(-np.expm1(np.log(u) / dof))
+    r[1:n] = u ** (0.5 / dof)
+    theta = np.array([[a[1::2].conj(), r[1::2]], [r[1::2], -a[1::2]]])
+    m_rows = np.array([[r[:-1:2], -a[:-1:2]], [a[2::2].conj(), r[2::2]]])
+    # entry (i, h, e, p) is C[2p + i, 2p - 1 + 2h + e]
+    values = scale * (theta[:, :, None] * m_rows[None])
+    i, h, e = np.indices((2, 2, 2))[..., None]
+    first = 2 * np.arange(pairs)
+    rows, cols = np.broadcast_arrays(first + i, first - 1 + 2 * h + e)
+    inside = (rows < n) & (cols >= 0) & (cols < n)
+    out[rows[inside], cols[inside]] = values[inside]
+
+
 def sample_mixed_unitary_channel(
-    k: int, n: int, weights, rng: np.random.Generator, pool: Executor | None = None
+    k: int, n: int, weights, rng: np.random.Generator
 ) -> MixedUnitaryChannel:
-    """Channel of k i.i.d. Haar unitaries on C^n: U_1 = I, then k - 1 Haar draws.
+    """Channel of k i.i.d. Haar unitaries on C^n: U_1 = I, U_2 a CMV matrix, then Haar draws.
 
-    The channel of U_1..U_k with weights w has output entries
+    By the cyclicity of the trace, the output entries
+    sqrt(w_i w_j) Tr[U_i X U_j*] do not change when every U_i is multiplied
+    on the left by one unitary, nor when every U_i and X are conjugated by
+    one unitary V.  The first gives U_1 = I, as the U_1* U_i are i.i.d.
+    Haar.  The second changes no quantity the lab measures (probe spectra,
+    the 1 -> inf norm, the output set), since V* X V runs over the inputs
+    as X does.  With U_2 = V D V*, the V* U_i V (i >= 3) are i.i.d. Haar
+    and independent of D, so U_2 enters only through its eigenvalues, and
+    a five-diagonal CMV matrix with the CUE spectrum takes its place.
 
-        sqrt(w_i w_j) Tr[U_i X U_j*] = sqrt(w_i w_j) Tr[(U_1* U_i) X (U_1* U_j)*]
-
-    by the cyclicity of the trace, so it is the same map as the channel of
-    I, U_1* U_2, ..., U_1* U_k.  For i.i.d. Haar U_1..U_k and given U_1,
-    the products U_1* U_i (i >= 2) are i.i.d. Haar by the left invariance
-    of Haar measure; that law does not depend on U_1, so it is their law
-    outright.  Drawing them directly gives the law of the k-unitary
-    channel, as a random map, at one Haar draw fewer.
-
-    The (k, n, n) blocks sqrt(w_i) U_i are allocated once: block 0 is
-    sqrt(w_1) I, and each draw is built and scaled in its own block, with
-    the rounding of stacking the unitaries and then scaling them.
-
-    Every unitary's reflectors are computed here, in stream order.  With a
-    `pool`, a concurrent.futures executor, forming each unitary but the
-    last from its reflectors (zungqr, the phase fix and the scale) is
-    submitted to it as a helper task; the last one runs here, then each
-    helper is joined.  A helper that no worker has started yet is
-    cancelled and run here, so the sampler never waits on queued work, and
-    a busy pool costs nothing.  The helpers depend only on their blocks,
-    so the isometry is the same bytes with or without a pool.
+    The blocks sqrt(w_i) U_i are allocated zeroed: block 0 is sqrt(w_1) I,
+    block 1 gets the band of sqrt(w_2) C, and each Haar draw is built and
+    scaled in its own block, with the rounding of stacking the unitaries
+    and then scaling them.  The stream gives C's uniforms first, then
+    U_3..U_k in block order: no Haar draw at k = 2, one at k = 3.
     """
     scale = np.sqrt(validate_weights(weights))
     blocks = np.zeros((k, n, n), dtype=np.complex128)
     # a weight count other than k leaves blocks unfilled, and the channel
     # refuses it
-    helpers = []
-    for block, s in zip(blocks[1:-1], scale[1:-1]):
-        tau, signs = _reflectors(block.T, rng)
-        task = functools.partial(_haar_from_reflectors, block.T, tau, signs * s)
-        if pool is None:
-            task()
-        else:
-            helpers.append((pool.submit(task), task))
-    if k > 1:
-        np.multiply(haar_unitary(n, rng, out=blocks[-1]), scale[-1], out=blocks[-1])
-    for future, task in helpers:
-        if future.cancel():
-            task()
-        else:
-            future.result()
+    draws = zip(blocks[1:], scale[1:])
+    for block, s in itertools.islice(draws, 1):  # U_2
+        _cmv_band(block, rng, s)
+    for block, s in draws:  # U_3..U_k
+        np.multiply(haar_unitary(n, rng, out=block), s, out=block)
     blocks[0].flat[:: n + 1] = scale[0]
     return MixedUnitaryChannel(weights, blocks, _validated=True)
 

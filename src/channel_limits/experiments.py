@@ -11,12 +11,10 @@ stable schema:
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import os
-from concurrent.futures import FIRST_COMPLETED, Executor, ThreadPoolExecutor, wait
-from contextvars import ContextVar
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -81,15 +79,10 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# the trial pool of the trial running in this context, to which its sampler
-# hands helper tasks; None when the trials run one after another
-_TRIAL_POOL: ContextVar[Executor | None] = ContextVar("trial_pool", default=None)
-
-
 def _build_channel(cfg: ExperimentConfig, n: int, rng: np.random.Generator) -> Channel:
     kind = cfg.channel_kind()
     if kind == "mixed-unitary":
-        return sample_mixed_unitary_channel(cfg.k, n, cfg.weights, rng, _TRIAL_POOL.get())
+        return sample_mixed_unitary_channel(cfg.k, n, cfg.weights, rng)
     if kind == "stinespring":
         return StinespringRegime(cfg.k, cfg.t).sample(n, rng)
     return DepolarizingChannel(cfg.k, n)
@@ -276,11 +269,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRe
     Every trial runs on one OpenBLAS thread, whatever `threads` is, so the
     records are the same bytes for any worker count and any
     OPENBLAS_NUM_THREADS.  A pool of `threads` workers takes the trials
-    largest n (or r) first, so the longest trials do not start last, and
-    a worker that comes free runs the pending Haar QRs of running trials
-    before it starts the next trial.  A config whose trials run the norm
-    ascent also logs, at INFO, how many of their restarts stopped without
-    converging and how many reached their trial's best value.
+    largest n (or r) first, so the longest trials do not start last.  A
+    config whose trials run the norm ascent also logs, at INFO, how many
+    of their restarts stopped without converging and how many reached
+    their trial's best value.
     """
     with one_thread():  # process-wide: pinned before the pool starts, restored after it stops
         results = _run_trials(cfg, threads)
@@ -296,39 +288,21 @@ def _run_trials(cfg: ExperimentConfig, threads: int) -> list:
     points = cfg.r_grid or cfg.n_grid
     specs = list(enumerate(p for p in points for _ in range(cfg.trials)))
 
-    def run(spec, pool=None):
+    def run(spec):
         # keyed on the worker through the module global, so a wrapper of
         # `stream` (perfbench's trial marker) sees each thread's trial; the
         # closed-form sweep draws nothing, and its first Generator would
         # import numpy.random, 5.7 MB of resident memory, into its run
         trial, point = spec
         rng = None if cfg.experiment == "psistar-sweep" else stream(cfg.master_seed, trial)
-        token = _TRIAL_POOL.set(pool)
-        try:
-            return runner(cfg, trial, point, rng)
-        finally:
-            _TRIAL_POOL.reset(token)
+        return runner(cfg, trial, point, rng)
 
     if threads <= 1:
         return [run(s) for s in specs]
     # sorted is stable, so trials of one n keep their index order
-    largest_first = iter(sorted(specs, key=lambda s: -s[1]))
-    done = {}
+    largest_first = sorted(specs, key=lambda s: -s[1])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        # at most `threads` trials are queued or running, and the next one
-        # is submitted when one ends: a helper task that a trial submits
-        # then queues ahead of every trial not yet started, and a trial
-        # that cancels a helper leaves it in the queue only until the next
-        # worker comes free
-        first = itertools.islice(largest_first, threads)
-        running = {pool.submit(run, s, pool): s for s in first}
-        while running:
-            finished, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in finished:
-                done[running.pop(future)] = future.result()
-                spec = next(largest_first, None)
-                if spec is not None:
-                    running[pool.submit(run, spec, pool)] = spec
+        done = dict(zip(largest_first, pool.map(run, largest_first)))
     return [done[s] for s in specs]
 
 

@@ -1,9 +1,6 @@
 """Seeded random sampling: Haar unitaries and isometries, random channels,
 pure states, POVM families."""
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -23,7 +20,7 @@ from channel_limits import (
     stream,
     validate_povm,
 )
-from channel_limits.errors import DimensionMismatchError
+from channel_limits.errors import DimensionMismatchError, OutOfRangeError
 from channel_limits.geometry import probe_top_eigenvalues
 
 
@@ -40,6 +37,19 @@ def test_streams_are_distinct_across_indices():
     a = stream(123, 0).standard_normal(16)
     b = stream(123, 1).standard_normal(16)
     assert not np.allclose(a, b)
+
+
+@pytest.mark.parametrize("seed", [-5, 2**64])
+def test_stream_refuses_a_seed_outside_64_bits(seed):
+    # masked to 64 bits, -5, 2^64 - 5 and 2^65 - 5 would all be one stream
+    with pytest.raises(OutOfRangeError, match="master_seed"):
+        stream(seed, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_stream_draws_at_both_ends_of_the_seed_range(seed):
+    assert np.array_equal(stream(seed, 3).random(4), stream(seed, 3).random(4))
+    assert not np.array_equal(stream(seed, 3).random(4), stream(seed ^ 1, 3).random(4))
 
 
 # ---------------------------------------------------------------------- haar
@@ -117,17 +127,21 @@ def _mean_and_se(samples):
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
 
 
-def test_cue_trace_moments():
+def _assert_cue_trace_moments(draw):
     # E|Tr U^j|^2 = min(j, n) under Haar measure (Diaconis and Shahshahani);
     # 4000 unitaries at n = 20, moments j = 1..4
-    rng = stream(44, 0)
     powers = np.arange(1, 5)
     samples = []
     for _ in range(4000):
-        eig = np.linalg.eigvals(haar_unitary(20, rng))
+        eig = np.linalg.eigvals(draw(20))
         samples.append(np.abs((eig[:, None] ** powers).sum(axis=0)) ** 2)
     mean, se = _mean_and_se(samples)
     assert np.all(np.abs(mean - powers) <= 4.0 * se), mean
+
+
+def test_cue_trace_moments():
+    rng = stream(44, 0)
+    _assert_cue_trace_moments(lambda n: haar_unitary(n, rng))
 
 
 @pytest.mark.parametrize("rows, cols", [(20, 20), (20, 7)])
@@ -220,12 +234,22 @@ def test_density_matrix_sampler_is_valid():
 # ------------------------------------------------------------------ channels
 
 
+def _cmv(n, rng):
+    c = np.zeros((n, n), dtype=np.complex128)
+    ensembles._cmv_band(c, rng, 1.0)
+    return c
+
+
+def _sampled_unitaries(k, n, rng):
+    # the sampler's stream: U_1 = I, the CMV matrix, then Haar draws
+    return [np.eye(n), _cmv(n, rng), *(haar_unitary(n, rng) for _ in range(k - 2))]
+
+
 def test_mixed_unitary_sampler_consistency():
     rng = stream(9, 0)
     w = np.full(3, 1.0 / 3.0)
     ch = sample_mixed_unitary_channel(3, 4, w, rng)
-    draws = stream(9, 0)
-    us = [np.eye(4), *(haar_unitary(4, draws) for _ in range(2))]
+    us = _sampled_unitaries(3, 4, stream(9, 0))
     assert np.array_equal(ch.isometry, MixedUnitaryChannel(w, us).isometry)
     rho = sample_density_matrix(4, stream(9, 1))
     out = ch.apply(rho)
@@ -239,8 +263,7 @@ def test_gauged_sampler_fixes_the_first_unitary_and_draws_the_rest():
     w = np.array([0.2, 0.3, 0.5])
     ch = sample_mixed_unitary_channel(3, 4, w, stream(9, 0))
     # U_1 = I, then k - 1 unitaries in order from the stream it is given
-    draws = stream(9, 0)
-    us = [np.eye(4), *(haar_unitary(4, draws) for _ in range(2))]
+    us = _sampled_unitaries(3, 4, stream(9, 0))
     assert np.array_equal(ch.isometry, MixedUnitaryChannel(w, us).isometry)
     with pytest.raises(DimensionMismatchError):
         sample_mixed_unitary_channel(2, 4, w, stream(9, 0))
@@ -277,8 +300,7 @@ def test_sampled_unitaries_meet_the_isometry_tolerance(k, n):
     # makes them, accepts the same draws and builds the same isometry
     w = np.full(k, 1.0 / k)
     ch = sample_mixed_unitary_channel(k, n, w, stream(15, n))
-    draws = stream(15, n)
-    us = [np.eye(n), *(haar_unitary(n, draws) for _ in range(k - 1))]
+    us = _sampled_unitaries(k, n, stream(15, n))
     assert np.array_equal(ch.isometry, MixedUnitaryChannel(w, us).isometry)
 
 
@@ -332,26 +354,68 @@ def test_unit_norm_povm_sampler():
         sample_unit_norm_povm([], 2, rng)
 
 
-# ------------------------------------------------------ helper QRs on a pool
+# ------------------------------------------------------- the CMV matrix, U_2
 
 
 FEW_ULP = 4 * np.finfo(float).eps  # a unitary's entries are at most 1 in modulus
 
 
+def _cmv_reference(n, rng):
+    # Killip and Nenciu's C = LM from its definition, dense: n - 1 uniforms
+    # for the moduli, then n for the phases; L holds T_j of even j, M a
+    # leading 1 and T_j of odd j, and T_(n-1) is cut to [conj alpha_(n-1)]
+    u = 1.0 - rng.random(n - 1)
+    alpha = np.exp(2j * np.pi * rng.random(n))
+    dof = n - 1.0 - np.arange(n - 1)
+    alpha[:-1] *= np.sqrt(-np.expm1(np.log(u) / dof))
+    rho = np.append(u ** (0.5 / dof), 0.0)
+    lm = [np.zeros((n, n), dtype=np.complex128), np.eye(n, dtype=np.complex128)]
+    for j in range(n):
+        t = np.array([[alpha[j].conj(), rho[j]], [rho[j], -alpha[j]]])
+        size = min(2, n - j)
+        lm[j % 2][j : j + size, j : j + size] = t[:size, :size]
+    return lm[0] @ lm[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 801])
+def test_cmv_matrix_is_unitary_and_five_diagonal(n):
+    c = _cmv(n, stream(47, n))
+    assert np.abs(c.conj().T @ c - np.eye(n)).max() <= 1e-15
+    rows, cols = np.indices((n, n))
+    assert np.all(c[np.abs(rows - cols) > 2] == 0.0)
+    assert np.abs(c - _cmv_reference(n, stream(47, n))).max() <= FEW_ULP
+
+
+def test_cmv_trace_moments():
+    rng = stream(48, 0)
+    _assert_cue_trace_moments(lambda n: _cmv(n, rng))
+
+
 @pytest.mark.parametrize("n", [20, 130, 300])
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_sampler_gives_the_same_isometry_with_and_without_helpers(stewart_reference, k, n):
+def test_sampler_follows_the_stream_spec(stewart_reference, k, n):
+    # block i is sqrt(w_i) U_i: U_1 = I, U_2 the CMV matrix of the first
+    # uniforms, then U_3..U_k the transposes of the stream spec's Q, in order
     w = np.arange(1.0, k + 1.0) / (k * (k + 1) / 2)
-    serial = sample_mixed_unitary_channel(k, n, w, stream(41, n)).isometry
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        pooled = sample_mixed_unitary_channel(k, n, w, stream(41, n), pool)
-    assert np.array_equal(pooled.isometry, serial)
-    # block i is sqrt(w_i) U_i, with U_1 = I and U_i the transpose of the
-    # stream spec's Q, drawn in order
+    drawn = sample_mixed_unitary_channel(k, n, w, stream(41, n)).isometry
     rng = stream(41, n)
-    want = [np.sqrt(w[0]) * np.eye(n)]
-    want += [s * stewart_reference(n, n, rng).T for s in np.sqrt(w[1:])]
-    assert np.abs(serial - np.concatenate(want)).max() <= FEW_ULP
+    want = [np.sqrt(w[0]) * np.eye(n), np.sqrt(w[1]) * _cmv_reference(n, rng)]
+    want += [s * stewart_reference(n, n, rng).T for s in np.sqrt(w[2:])]
+    assert np.abs(drawn - np.concatenate(want)).max() <= FEW_ULP
+
+
+def test_probe_spectra_see_the_second_unitary_only_through_its_eigenvalues():
+    # U_2 = V D V*: the channel of (I, D, V* U_3 V) is that of (I, U_2, U_3)
+    # after the input unitary V, so the adjoint's spectra agree
+    n, w = 60, np.array([0.2, 0.3, 0.5])
+    rng = stream(49, 0)
+    u2, u3 = haar_unitary(n, rng), haar_unitary(n, rng)
+    d, v = np.linalg.eig(u2)
+    drawn = MixedUnitaryChannel(w, [np.eye(n), u2, u3])
+    conjugated = MixedUnitaryChannel(w, [np.eye(n), np.diag(d), v.conj().T @ u3 @ v])
+    for a in (np.ones(3) / np.sqrt(3.0), sample_pure_state(3, rng)):
+        top = [probe_top_eigenvalues(ch, a, 5) for ch in (drawn, conjugated)]
+        assert np.abs(top[0] - top[1]).max() <= 1e-12
 
 
 def test_haar_unitary_built_in_a_block_is_the_returned_unitary():
@@ -361,34 +425,3 @@ def test_haar_unitary_built_in_a_block_is_the_returned_unitary():
     assert np.array_equal(block, u)
     with pytest.raises(DimensionMismatchError):
         haar_unitary(70, stream(42, 0), out=np.empty((70, 70), dtype=np.complex128).T)
-
-
-def test_helpers_run_inline_when_every_worker_is_busy(monkeypatch):
-    # the pool's one worker waits on a gate for the whole draw: each helper
-    # is then cancelled and forms its unitary on the sampling thread, with
-    # no wait
-    ran_on = []
-    form = ensembles._haar_from_reflectors
-
-    def recording(*args):
-        ran_on.append(threading.get_ident())
-        form(*args)
-
-    monkeypatch.setattr(ensembles, "_haar_from_reflectors", recording)
-    w = np.full(4, 0.25)
-    gate = threading.Event()
-    result = []
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pool.submit(gate.wait, 60)
-        sampler = threading.Thread(
-            target=lambda: result.append(
-                sample_mixed_unitary_channel(4, 60, w, stream(43, 0), pool)
-            )
-        )
-        sampler.start()
-        sampler.join(timeout=60)
-        gate.set()
-    assert not sampler.is_alive()
-    assert ran_on == [sampler.ident] * 3
-    serial = sample_mixed_unitary_channel(4, 60, w, stream(43, 0))
-    assert np.array_equal(result[0].isometry, serial.isometry)

@@ -9,7 +9,7 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from channel_limits.config import (
     parse_config_text,
     validate_config,
 )
-from channel_limits import config, ensembles, experiments, openblas
+from channel_limits import config, experiments, openblas
 from channel_limits.channels import DepolarizingChannel
 from channel_limits.ensembles import (
     sample_mixed_unitary_channel,
@@ -385,9 +385,7 @@ def _openblas_core():
 RUNS_HASWELL_KERNELS = {"SkylakeX", "Cooperlake", "SapphireRapids", "Zen"}
 
 # a k = 3 mixed-unitary run at sizes the golden configs stay below: n = 520
-# takes the two-stage solve (n >= linalg.TWO_STAGE_MIN_DIM), and at two
-# workers the n = 100 trial ends first and frees a worker for the n = 520
-# trial's helper QR
+# takes the two-stage solve (n >= linalg.TWO_STAGE_MIN_DIM)
 REALISTIC_TEXT = (
     "experiment = cm-convergence\nk = 3\nweights = 0.2, 0.3, 0.5\n"
     "nGrid = 100, 520\ntrials = 1\nmasterSeed = 17\n"
@@ -902,16 +900,17 @@ def test_reruns_are_byte_identical_across_thread_counts(tmp_path):
     assert first == pooled
 
 
-HELPER_TEXT = (
+K4_TEXT = (
     "experiment = cm-convergence\nk = 4\nweights = 0.1, 0.2, 0.3, 0.4\n"
     "nGrid = 20, 60, 130\ntrials = 2\nm = 3\nmasterSeed = 13\n"
 )
 
 
-def test_helper_qrs_keep_the_csv_bytes_at_any_worker_count():
-    # k = 4: two helper QRs a trial; 8 workers is more than the 6 trials and
-    # the cores, and a short switch interval interleaves them more often
-    cfg = parse_config_text(HELPER_TEXT)
+def test_k4_mixed_unitary_csv_bytes_do_not_depend_on_the_worker_count():
+    # k = 4: a CMV matrix and two Haar draws a trial; 8 workers is more than
+    # the 6 trials and the cores, and a short switch interval interleaves
+    # them more often
+    cfg = parse_config_text(K4_TEXT)
     serial = render_csv(run_experiment(cfg, threads=1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -920,22 +919,6 @@ def test_helper_qrs_keep_the_csv_bytes_at_any_worker_count():
             assert render_csv(run_experiment(cfg, threads=threads)) == serial, threads
     finally:
         sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_a_failing_helper_qr_fails_its_trial(monkeypatch, threads):
-    form = ensembles._haar_from_reflectors
-
-    def failing(z, tau, phases):
-        # a helper's phases carry its block's scale; the trial's own last
-        # unitary gets phases of modulus 1 and is scaled after
-        if np.any(np.abs(phases) != 1.0):
-            raise RuntimeError("helper QR failed")
-        form(z, tau, phases)
-
-    monkeypatch.setattr(ensembles, "_haar_from_reflectors", failing)
-    with pytest.raises(RuntimeError, match="helper QR failed"):
-        run_experiment(parse_config_text(HELPER_TEXT), threads=threads)
 
 
 def test_output_cloud_is_byte_identical_across_worker_threads():
@@ -966,7 +949,7 @@ def test_committed_bytes_do_not_depend_on_openblas_threads(
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     # the committed n = 300, k = 2 run, then the realistic config at two
-    # workers, whose helper QR and two-stage solve that run never reaches
+    # workers, whose two-stage solve that run never reaches
     runs = [(str(REPO / "configs" / "weyl_invariance.cfg"), workers), (realistic_config, "2")]
     for cfg_path, threads in runs:
         out = tmp_path / "out.csv"
@@ -1069,17 +1052,11 @@ def test_the_sweep_runs_without_importing_numpy_random():
 
 
 def test_pool_takes_the_largest_trials_first_and_emits_in_trial_order(monkeypatch):
-    class InOrder:
+    class InOrder(Executor):
         """An executor that runs each task as it is submitted, on the caller's thread."""
 
         def __init__(self, max_workers):
             pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def submit(self, fn, *args):
             future = Future()
