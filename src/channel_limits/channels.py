@@ -33,9 +33,9 @@ from .errors import (
 )
 from .linalg import (
     DensityMatrix,
+    _hermitian_part,
     as_complex_matrix,
     checked_state,
-    hermiticity_defect,
     hermitize,
     normalize_states,
     unit_rows,
@@ -78,9 +78,8 @@ def validate_povm(povm) -> np.ndarray:
     for m in ms:
         if m.shape[0] != n:
             raise DimensionMismatchError("POVM elements must share a dimension")
-        if hermiticity_defect(m) > POVM_TOL:
-            raise InvalidPOVMError("POVM element is not Hermitian")
-        if float(np.linalg.eigvalsh(hermitize(m))[0]) < -POVM_TOL:
+        h = _hermitian_part(m, POVM_TOL, InvalidPOVMError)
+        if float(np.linalg.eigvalsh(h)[0]) < -POVM_TOL:
             raise InvalidPOVMError("POVM element is not positive semidefinite")
         total += m
     if float(np.max(np.abs(total - np.eye(n)))) > POVM_TOL:

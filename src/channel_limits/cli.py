@@ -4,13 +4,13 @@
                                 [--threads T]
 
 Results go to the path from the config's outputPath key unless --out
-overrides it ('-' writes to stdout); a destination whose directory does
-not exist is a configuration error, raised before the first trial.
-Trials run on --threads workers, by default one per usable core; the
-worker count never changes the bytes.  Progress, and the package's INFO
-log (such as how many ascent restarts were capped), is printed on stderr
-so piped output stays clean.  Exit codes: 0 success, 1 configuration
-error, 2 runtime failure.
+overrides it ('-' writes to stdout); a destination that is a directory,
+or whose directory does not exist, is a configuration error, raised
+before the first trial.  Trials run on --threads workers, by default one
+per usable core; the worker count never changes the bytes.  Progress,
+and the package's INFO log (such as how many ascent restarts were
+capped), is printed on stderr so piped output stays clean.  Exit codes:
+0 success, 1 configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -108,6 +108,8 @@ def _run(args: argparse.Namespace) -> int:
             raise ConfigError("outputPath: not set in config and no --out given")
         if dest != "-" and not os.path.isdir(os.path.dirname(dest) or "."):
             raise ConfigError(f"outputPath: directory of {dest!r} does not exist")
+        if dest != "-" and os.path.isdir(dest):
+            raise ConfigError(f"outputPath: {dest!r} is a directory")
         print(
             f"[channel-limits] {cfg.experiment}: k={cfg.k} seed={cfg.master_seed}",
             file=sys.stderr,

@@ -196,6 +196,8 @@ def sample_mixed_unitary_channel(
     and then scaling them.  The stream gives C's uniforms first, then
     U_3..U_k in block order: no Haar draw at k = 2, one at k = 3.
     """
+    if k <= 0 or n <= 0:
+        raise DimensionMismatchError("dimensions must be positive")
     scale = np.sqrt(validate_weights(weights))
     blocks = np.zeros((k, n, n), dtype=np.complex128)
     # a weight count other than k leaves blocks unfilled, and the channel

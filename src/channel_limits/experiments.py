@@ -37,7 +37,7 @@ from .geometry import (
     holevo_from_smin,
     norm_ascent,
     probe_top_eigenvalues,
-    weyl_operator,
+    weyl_conjugates,
 )
 from .linalg import hermitian_eigs
 from .openblas import one_thread
@@ -159,17 +159,8 @@ def _run_weyl_invariance(cfg, trial, n, rng):
     channel = _build_channel(cfg, n, rng)
     observable, coeff = _build_probe(cfg, rng)
     target = _rank_one_target(cfg, coeff)
-    values = []
-    for shift in range(cfg.k):
-        for phase in range(cfg.k):
-            w = weyl_operator(shift, phase, cfg.k)
-            # W aa* W* is the rank-one observable on W a
-            if observable.ndim == 1:
-                conjugated = w @ observable
-            else:
-                conjugated = w @ observable @ w.conj().T
-            values.append(probe_top_eigenvalues(channel, conjugated, 1)[0])
-    return _record(cfg, trial, n, cfg.probe, tuple(values), target), None
+    values = tuple(probe_top_eigenvalues(channel, o, 1)[0] for o in weyl_conjugates(observable))
+    return _record(cfg, trial, n, cfg.probe, values, target), None
 
 
 def _run_eb_tensor(cfg, trial, n, rng):

@@ -9,6 +9,7 @@ output clouds.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,10 +23,10 @@ from .errors import (
 from .linalg import (
     DensityMatrix,
     _top_eigenpair,
+    as_complex_matrix,
     hermitian_eigenvalues,
     hermitian_eigs,
     hermitize,
-    state_matrix,
     von_neumann_entropy,
 )
 from .ensembles import sample_pure_state
@@ -352,16 +353,21 @@ def weyl_operator(shift: int, phase: int, dim: int) -> np.ndarray:
     return shift_mat * phases[None, :]
 
 
+def weyl_conjugates(observable) -> Iterator[np.ndarray]:
+    """W A W* for a matrix A, or W a for a vector a (the observable aa*), per Weyl W.
+
+    The dim^2 operators W = weyl_operator(shift, phase, dim) run shift-major.
+    """
+    a = np.asarray(observable, dtype=np.complex128)
+    k = a.shape[0]
+    for w in (weyl_operator(s, p, k) for s in range(k) for p in range(k)):
+        yield w @ a if a.ndim == 1 else w @ a @ w.conj().T
+
+
 def weyl_twirl(observable) -> np.ndarray:
     """Average of W A W* over all dim^2 Weyl conjugations."""
-    a = state_matrix(observable)
-    k = a.shape[0]
-    total = np.zeros_like(a)
-    for s in range(k):
-        for p in range(k):
-            w = weyl_operator(s, p, k)
-            total += w @ a @ w.conj().T
-    return total / k**2
+    a = as_complex_matrix(observable)
+    return sum(weyl_conjugates(a)) / a.shape[0] ** 2
 
 
 def estimate_smin(outputs) -> float:

@@ -34,12 +34,17 @@ EIGENVALUE_FLOOR = -1e-10
 
 
 def as_complex_matrix(m, *, stack: bool = False) -> np.ndarray:
-    """Coerce to a finite square complex matrix, or with `stack` a (..., n, n) stack."""
+    """Coerce to a finite square complex matrix, or with `stack` a (..., n, n) stack.
+
+    A DensityMatrix gives its own matrix, which was checked when it was built.
+    """
+    if isinstance(m, DensityMatrix):
+        return m.matrix
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         what = "a stack of square matrices" if stack else "a square matrix"
         raise DimensionMismatchError(f"expected {what}, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.all(np.isfinite(a)):
         raise InvalidDensityMatrixError("matrix has non-finite entries")
     return a
 
@@ -118,7 +123,7 @@ def _hermitian_part(
     hermitized, comes back as it is: `hermitize` would return its values
     bit for bit.  Callers only read the result.
     """
-    a = state_matrix(m, stack=stack)
+    a = as_complex_matrix(m, stack=stack)
     defect = hermiticity_defect(a)
     if defect > tol:
         raise error(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
@@ -299,16 +304,6 @@ class DensityMatrix:
         if dim <= 0:
             raise DimensionMismatchError("dimension must be positive")
         return cls(np.eye(dim, dtype=np.complex128) / dim, _validated=True)
-
-
-def state_matrix(state, *, stack: bool = False) -> np.ndarray:
-    """Accept a DensityMatrix or a raw array and return the underlying matrix.
-
-    With `stack`, a raw array may also be a (..., n, n) stack of matrices.
-    """
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    return as_complex_matrix(state, stack=stack)
 
 
 def checked_state(state) -> np.ndarray:

@@ -30,11 +30,10 @@ from .channels import validate_weights
 from .errors import (
     DimensionMismatchError,
     EmptySubsetError,
-    NonHermitianError,
     OutOfRangeError,
     ZeroVectorError,
 )
-from .linalg import HERMITIAN_TOL, checked_state, hermiticity_defect, state_matrix, unit_vector
+from .linalg import _hermitian_part, checked_state, unit_vector
 
 
 def _derivative_roots(squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,12 +175,8 @@ def sphere_sup(weights) -> SphereSupremum:
         in_prefix[j] = True
         evaluations.append(_evaluate(w, np.flatnonzero(in_prefix)))
     evaluations.append(full)
-    best = evaluations[0]  # a singleton is always valid
-    for ev in evaluations[1:]:
-        if ev.valid and (
-            ev.value > best.value or (ev.value == best.value and ev.subset < best.subset)
-        ):
-            best = ev
+    # the largest value, ties to the smallest subset; a singleton is always valid
+    best = min((ev for ev in evaluations if ev.valid), key=lambda ev: (-ev.value, ev.subset))
     return SphereSupremum(best.value, best.subset, best.maximizer, tuple(evaluations))
 
 
@@ -204,9 +199,7 @@ def eb_limit(observable, states) -> float:
 
     Each sigma_i is a DensityMatrix, or a raw array checked as one.
     """
-    a = state_matrix(observable)
-    if hermiticity_defect(a) > HERMITIAN_TOL:
-        raise NonHermitianError("observable must be Hermitian")
+    a = _hermitian_part(observable)
     if len(states) == 0:
         raise DimensionMismatchError("need at least one output state")
     vals = [float(np.trace(a @ checked_state(s)).real) for s in states]

@@ -269,6 +269,14 @@ def test_gauged_sampler_fixes_the_first_unitary_and_draws_the_rest():
         sample_mixed_unitary_channel(2, 4, w, stream(9, 0))
 
 
+@pytest.mark.parametrize("k, n, weights", [(0, 4, [1.0]), (2, 0, [0.5, 0.5]), (2, -1, [0.5, 0.5])])
+def test_mixed_unitary_sampler_refuses_bad_dimensions_before_any_draw(k, n, weights):
+    rng = stream(9, 0)
+    with pytest.raises(DimensionMismatchError, match="dimensions must be positive"):
+        sample_mixed_unitary_channel(k, n, weights, rng)
+    assert rng.random() == stream(9, 0).random()
+
+
 @pytest.mark.parametrize("k, n", [(2, 6), (3, 40), (4, 25)])
 def test_gauged_channel_keeps_lift_spectra_and_outputs(k, n):
     # the channel of Haar U_1..U_k and that of I, U_1* U_2, ..., U_1* U_k

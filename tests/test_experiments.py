@@ -43,7 +43,7 @@ from channel_limits.experiments import (
     render_json,
     run_experiment,
 )
-from channel_limits.geometry import estimate_smin, probe_top_eigenvalues
+from channel_limits.geometry import estimate_smin, probe_top_eigenvalues, weyl_operator
 from channel_limits.linalg import DensityMatrix, von_neumann_entropy
 
 REPO = Path(__file__).resolve().parent.parent
@@ -168,6 +168,56 @@ def test_depolarizing_probe_is_exact():
         spread = rec.values[-1]
         assert spread <= 1e-12
         assert rec.target == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+def _k2_lift_spectra(channel, vectors):
+    """Spectrum of Phi*(aa*), descending, per vector a, for a k = 2 mixed-unitary channel.
+
+    The sampler sets U_1 = I and U_2 = C, so Phi*(A) = (w_1 A_11 + w_2 A_22) I
+    + sqrt(w_1 w_2)(A_12 C + conj(A_12) C*), whose eigenvalues are
+    c + 2 sqrt(w_1 w_2) Re(A_12 l) over the eigenvalues l of C, those of
+    block 1 divided by sqrt(w_2).
+    """
+    w1, w2 = channel.weights
+    n = channel.input_dim
+    lam = np.linalg.eigvals(channel.isometry[n:] / np.sqrt(w2))
+
+    def spectrum(a):
+        c = w1 * abs(a[0]) ** 2 + w2 * abs(a[1]) ** 2
+        return np.sort(c + 2.0 * np.sqrt(w1 * w2) * (a[0] * np.conj(a[1]) * lam).real)[::-1]
+
+    return [spectrum(a) for a in vectors]
+
+
+def test_committed_weyl_invariance_rows_meet_the_exact_k2_spectrum():
+    cfg = load_config(str(REPO / "configs" / "weyl_invariance.cfg"))
+    assert (cfg.k, cfg.probe) == (2, "flat-rank-one")
+    flat = np.ones(2, dtype=np.complex128) / np.sqrt(2.0)
+    orbit = [weyl_operator(s, p, 2) @ flat for s in range(2) for p in range(2)]
+    rows = (REPO / "results" / "weyl_invariance.csv").read_text().splitlines()[1:]
+    assert len(rows) == cfg.trials * len(cfg.n_grid)
+    for row in rows:
+        cells = row.split(",")
+        trial, seed, n = int(cells[1]), int(cells[2]), int(cells[3])
+        channel = sample_mixed_unitary_channel(cfg.k, n, cfg.weights, stream(seed, trial))
+        exact = [spectrum[0] for spectrum in _k2_lift_spectra(channel, orbit)]
+        values = [float(v) for v in cells[ID_COLUMNS : ID_COLUMNS + len(orbit)]]
+        assert np.abs(np.subtract(values, exact)).max() <= 1e-12
+
+
+def test_k2_random_pure_probe_spectra_meet_the_exact_spectrum():
+    text = (
+        "experiment = cm-convergence\nk = 2\nweights = 0.3, 0.7\nnGrid = 50, 300, 600\n"
+        "trials = 1\nm = 5\nprobe = random-pure\nmasterSeed = 5\n"
+    )
+    records = run_experiment(parse_config_text(text))
+    assert [rec.n for rec in records] == [50, 300, 600]
+    for rec in records:
+        # the trial's stream draws the channel, then the probe
+        rng = stream(rec.seed, rec.trial)
+        channel = sample_mixed_unitary_channel(2, rec.n, [0.3, 0.7], rng)
+        (spectrum,) = _k2_lift_spectra(channel, [sample_pure_state(2, rng)])
+        assert np.abs(np.subtract(rec.values[:5], spectrum[:5])).max() <= 1e-12
 
 
 def test_explicit_rank_one_probe_lifts_its_matrix():
@@ -688,6 +738,23 @@ def test_cli_missing_output_is_exit_one(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("where", ["outputPath", "--out"])
+def test_cli_output_path_that_is_a_directory_is_exit_one(tmp_path, capsys, monkeypatch, where):
+    from channel_limits import cli
+
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    text = SWEEP_TEXT + (f"outputPath = {outdir}\n" if where == "outputPath" else "")
+    extra = ["--out", str(outdir)] if where == "--out" else []
+    # refused before the first trial, not when the results are written
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg, threads=1: pytest.fail("ran"))
+    code = cli_main(["run", _write(tmp_path, "sweep.cfg", text), *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"config error: outputPath: {str(outdir)!r} is a directory" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "text, m",
     [
@@ -707,8 +774,15 @@ def test_cli_runtime_failure_is_exit_two(tmp_path, capsys, monkeypatch):
     from channel_limits import cli
 
     cfg_path = _write(tmp_path, "sweep.cfg", SWEEP_TEXT)
-    # the destination is a directory, so the run succeeds and the write fails
-    assert cli_main(["run", cfg_path, "--out", str(tmp_path)]) == 2
+    taken = tmp_path / "taken.csv"
+
+    def run_then_take(cfg, threads=1):
+        taken.mkdir()  # the destination turns into a directory during the run
+        return run_experiment(cfg, threads)
+
+    # the run succeeds and the write fails
+    monkeypatch.setattr(cli, "run_experiment", run_then_take)
+    assert cli_main(["run", cfg_path, "--out", str(taken)]) == 2
     assert "error: cannot write" in capsys.readouterr().err
 
     def failing(cfg, threads=1):
